@@ -9,8 +9,10 @@ cd "$(dirname "$0")"
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> cargo build --release --offline"
-cargo build --release --offline
+# --workspace: the release repro_* binaries driven by the determinism
+# gates below live in defcon-bench, which the root package does not build.
+echo "==> cargo build --release --offline --workspace"
+cargo build --release --offline --workspace
 
 # The test suite runs twice: once serial (DEFCON_THREADS=1) and once on 4
 # worker threads. The engine's determinism contract (DESIGN.md §4) says
@@ -100,6 +102,11 @@ rm -f "$trace_a" "$trace_b"
 
 echo "==> cargo check --all-targets --offline (benches + bins compile)"
 cargo check --all-targets --offline
+
+# Rustdoc with warnings denied: an intra-doc link to a renamed or deleted
+# item (or an ambiguous one) fails the build instead of rotting silently.
+echo "==> cargo doc --no-deps --workspace --offline (warnings denied)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 
 # Unwrap/panic ratchet over the fallible-API modules (DESIGN.md §"Fault
 # injection & graceful degradation"): these files expose typed-DefconError

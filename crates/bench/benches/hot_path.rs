@@ -234,7 +234,7 @@ mod legacy {
                 // The verbatim pre-optimization sampler: per-texel address
                 // mode resolution, division-based quantization, per-call
                 // layer stride recomputation.
-                let f = tex.fetch_legacy(layer, y, x);
+                let f = defcon_gpusim::oracle::fetch_legacy(tex, layer, y, x);
                 out.push(f.value);
                 let mut lines = [u64::MAX; 4];
                 let mut n_lines = 0usize;

@@ -378,6 +378,7 @@ mod tests {
 
     #[test]
     fn backend_route_builds_tables_for_both_substrates() {
+        let _quiet = defcon_support::fault::quiesce();
         let keys = tiny_keys();
         let method = SamplingMethod::Tex2dPlusPlus;
         let pred = OffsetPredictorKind::Standard;
@@ -399,6 +400,7 @@ mod tests {
 
     #[test]
     fn build_measures_both_choices() {
+        let _quiet = defcon_support::fault::quiesce();
         let gpu = Gpu::new(DeviceConfig::xavier_agx());
         let lut = LatencyLut::build(
             &gpu,
@@ -419,6 +421,7 @@ mod tests {
 
     #[test]
     fn family_aware_lut_orders_v1_v2_v3() {
+        let _quiet = defcon_support::fault::quiesce();
         // The modulated (v2) and sparse-softmax (v3) kernels cost strictly
         // more than v1 at the same key: v2 adds a mask load + multiply per
         // tap and widens the joint predictor to 3·G·k² channels; v3 pays
@@ -453,6 +456,7 @@ mod tests {
 
     #[test]
     fn lightweight_predictor_shrinks_overhead() {
+        let _quiet = defcon_support::fault::quiesce();
         let gpu = Gpu::new(DeviceConfig::xavier_agx());
         let keys = [LatencyKey {
             c_in: 64,
@@ -478,6 +482,7 @@ mod tests {
 
     #[test]
     fn json_round_trip() {
+        let _quiet = defcon_support::fault::quiesce();
         let gpu = Gpu::new(DeviceConfig::xavier_agx());
         let lut = LatencyLut::build(
             &gpu,
@@ -496,6 +501,7 @@ mod tests {
 
     #[test]
     fn serialization_is_deterministic() {
+        let _quiet = defcon_support::fault::quiesce();
         // HashMap iteration order varies run to run; the sorted pair list
         // must not.
         let gpu = Gpu::new(DeviceConfig::xavier_agx());

@@ -183,6 +183,7 @@ mod tests {
 
     #[test]
     fn fallback_build_degrades_texture_method_for_oversized_channels() {
+        let _quiet = defcon_support::fault::quiesce();
         // 2100 channels in one image exceed Xavier's 2048 texture layers:
         // the full config's tex2D++ must degrade to the software sampler.
         let gpu = Gpu::new(DeviceConfig::xavier_agx());
@@ -201,6 +202,7 @@ mod tests {
 
     #[test]
     fn fallback_build_is_identity_when_method_fits() {
+        let _quiet = defcon_support::fault::quiesce();
         let gpu = Gpu::new(DeviceConfig::xavier_agx());
         let shape = DeformLayerShape::same3x3(16, 16, 12, 12);
         let cfg = DefconConfig {
@@ -215,6 +217,7 @@ mod tests {
 
     #[test]
     fn autotuned_op_not_slower_than_default_tile() {
+        let _quiet = defcon_support::fault::quiesce();
         let gpu = Gpu::new(DeviceConfig::xavier_agx());
         let shape = DeformLayerShape::same3x3(64, 64, 35, 35);
         let cfg = DefconConfig {

@@ -23,12 +23,13 @@
 //! determinism contract: every worker runs its engine at `threads = 1`
 //! ([`SamplePolicy`] pinned), so a report is a pure function of the
 //! canonicalized request — which is exactly what the key hashes. Cache
-//! reads and writes happen only on the owner thread (phases A and C of
-//! [`SimServer::drain`]); workers touch disjoint result slots. Eviction
-//! and worker count therefore change *when* a simulation runs, never what
-//! bytes come back — the differential serving suite
-//! (`tests/serving_equivalence.rs`) checks this at 1 vs 4 workers and
-//! cold vs warm cache.
+//! reads and writes happen only on the owner thread (phases A and C of the
+//! server's single resolution step, which every response — drained,
+//! degraded inline, or settled at admission — passes through); workers
+//! touch disjoint result slots. Eviction and worker count therefore
+//! change *when* a simulation runs, never what bytes come back — the
+//! differential serving suite (`tests/serving_equivalence.rs`) checks
+//! this at 1 vs 4 workers and cold vs warm cache.
 //!
 //! ## Overload behaviour
 //!
@@ -580,8 +581,9 @@ pub struct SimResponse {
     pub from_cache: bool,
     /// True when admission control degraded this request before serving.
     pub degraded_admission: bool,
-    /// Wall-clock time to answer (cache lookup or simulation). Excluded
-    /// from [`SimResponse::content_json`] — timing is not content.
+    /// Wall-clock time to answer: the simulation for a miss, the lookup
+    /// for a hit, 0 for an admission verdict. Excluded from
+    /// [`SimResponse::content_json`] — timing is not content.
     pub latency_ns: u64,
     /// `deform − regular` latency from the server's LUT, when attached
     /// and the layer is tabulated.
@@ -630,9 +632,36 @@ impl SimResponse {
 enum Plan {
     Hit(CachedHit),
     Miss(usize),
-    /// The deadline verdict fired in phase A (injected fault or LUT
-    /// preflight), before the cache was consulted.
+    /// A deadline verdict reached before the cache was consulted: the
+    /// injected admission fault, the LUT preflight, or retry backoff that
+    /// exhausted the budget.
     Deadline(DefconError),
+    /// Terminally shed at the software floor after all retries.
+    Shed(DefconError),
+}
+
+/// A request handed to [`SimServer::resolve`].
+struct Admitted {
+    req: SimRequest,
+    /// Virtual backoff cycles admission retries already charged against
+    /// the request's deadline budget.
+    backoff: u64,
+    /// True when admission degraded the request one rung before serving.
+    degraded: bool,
+    /// A verdict admission already reached; `None` sends the request
+    /// through the deadline gate and the cache.
+    verdict: Option<Plan>,
+}
+
+impl Admitted {
+    fn new(req: SimRequest, backoff: u64) -> Self {
+        Admitted {
+            req,
+            backoff,
+            degraded: false,
+            verdict: None,
+        }
+    }
 }
 
 struct SimOutcome {
@@ -720,12 +749,15 @@ fn hit_deadline_verdict(remaining: u64, reports: &[KernelReport]) -> Option<Defc
     None
 }
 
+/// Gauge names of the guarded rungs, in ladder order.
+const RUNG_GAUGES: [&str; 2] = ["serve.breaker.tex2dpp", "serve.breaker.tex2d"];
+
 /// Per-rung circuit breakers over the texture rungs of the fallback
 /// ladder. The software floor is deliberately unguarded — it cannot fail
 /// texture setup, so admission always has a rung to land on.
 pub struct LadderBreaker {
-    tex2dpp: CircuitBreaker,
-    tex2d: CircuitBreaker,
+    /// One breaker per guarded rung, indexed by ladder position.
+    rungs: [CircuitBreaker; 2],
     /// Rendered transition log across both rungs, in the order the
     /// transitions happened (lines like `"tex2D:closed->open:trip"`).
     log: Vec<String>,
@@ -735,29 +767,29 @@ pub struct LadderBreaker {
 impl LadderBreaker {
     fn new(cfg: BreakerConfig) -> Self {
         LadderBreaker {
-            tex2dpp: CircuitBreaker::new(cfg),
-            tex2d: CircuitBreaker::new(cfg),
+            rungs: [CircuitBreaker::new(cfg), CircuitBreaker::new(cfg)],
             log: Vec::new(),
             drained: [0; 2],
         }
     }
 
+    /// The guarded slot of `method`: its ladder position, `None` for the
+    /// software floor.
+    fn slot(method: SamplingMethod) -> Option<usize> {
+        SamplingMethod::ladder()
+            .iter()
+            .position(|&m| m == method)
+            .filter(|&i| i < RUNG_GAUGES.len())
+    }
+
     fn rung_mut(&mut self, method: SamplingMethod) -> Option<&mut CircuitBreaker> {
-        match method {
-            SamplingMethod::Tex2dPlusPlus => Some(&mut self.tex2dpp),
-            SamplingMethod::Tex2d => Some(&mut self.tex2d),
-            SamplingMethod::SoftwareBilinear => None,
-        }
+        Self::slot(method).map(|i| &mut self.rungs[i])
     }
 
     /// Current state of a rung's breaker (the software floor reads as
     /// permanently closed).
     pub fn state(&self, method: SamplingMethod) -> BreakerState {
-        match method {
-            SamplingMethod::Tex2dPlusPlus => self.tex2dpp.state(),
-            SamplingMethod::Tex2d => self.tex2d.state(),
-            SamplingMethod::SoftwareBilinear => BreakerState::Closed,
-        }
+        Self::slot(method).map_or(BreakerState::Closed, |i| self.rungs[i].state())
     }
 
     /// Plans a request's entry rung: starting at `requested`, consults
@@ -804,14 +836,11 @@ impl LadderBreaker {
     /// combined log, emitting one obs event per transition and refreshing
     /// the per-rung state gauges.
     fn sync_obs(&mut self) {
-        for (i, rung) in [SamplingMethod::Tex2dPlusPlus, SamplingMethod::Tex2d]
+        for (i, (rung, b)) in SamplingMethod::ladder()
             .into_iter()
+            .zip(&self.rungs)
             .enumerate()
         {
-            let b = match rung {
-                SamplingMethod::Tex2dPlusPlus => &self.tex2dpp,
-                _ => &self.tex2d,
-            };
             let fresh: Vec<String> = b.transitions()[self.drained[i]..]
                 .iter()
                 .map(|t| format!("{}:{}", rung.name(), t.render()))
@@ -823,13 +852,7 @@ impl LadderBreaker {
                 });
                 self.log.push(line);
             }
-            obs::gauge_set(
-                match rung {
-                    SamplingMethod::Tex2dPlusPlus => "serve.breaker.tex2dpp",
-                    _ => "serve.breaker.tex2d",
-                },
-                b.state().gauge(),
-            );
+            obs::gauge_set(RUNG_GAUGES[i], b.state().gauge());
         }
     }
 
@@ -848,7 +871,7 @@ pub struct SimServer {
     lut: Option<LatencyLut>,
     /// Queued requests, each with the virtual backoff cycles its
     /// admission retries already charged against its deadline budget.
-    queue: Vec<(SimRequest, u64)>,
+    queue: Vec<Admitted>,
     cache: ReportCache,
     breaker: LadderBreaker,
     sheds: u64,
@@ -925,7 +948,7 @@ impl SimServer {
                 capacity: self.cfg.queue_capacity,
             });
         }
-        self.queue.push((req, backoff_cycles));
+        self.queue.push(Admitted::new(req, backoff_cycles));
         obs::gauge_set("serve.queue_depth", self.queue.len() as f64);
         Ok(())
     }
@@ -976,124 +999,124 @@ impl SimServer {
     }
 
     /// Serves everything queued and returns responses in submission
-    /// order. Three phases keep the result deterministic: (A) deadline
-    /// gate and cache consultation on the owner thread in request order,
-    /// (B) miss simulation fanned across worker bands into disjoint
-    /// slots (each against its request's remaining deadline budget), (C)
-    /// assembly, deadline replay for hits, cache insertion, and breaker
-    /// feedback back on the owner thread in request order.
+    /// order: the queue, resolved as one batch inside a `serve.drain` span.
     pub fn drain(&mut self) -> Vec<SimResponse> {
         let batch = std::mem::take(&mut self.queue);
         if batch.is_empty() {
             return Vec::new();
         }
-        let workers = self.cfg.workers.max(1);
         let drain_span = obs::span_with("serve.drain", || {
             vec![
                 ("depth", Json::from(batch.len())),
-                ("workers", Json::from(workers)),
+                ("workers", Json::from(self.cfg.workers.max(1))),
             ]
         });
+        let (hits, misses) = (self.cache.hits(), self.cache.misses());
+        let out = self.resolve(batch);
+        drain_span.record("hits", Json::from(self.cache.hits() - hits));
+        drain_span.record("misses", Json::from(self.cache.misses() - misses));
+        out
+    }
 
-        // Phase A — deadline-gate and content-address each request, then
-        // consult the cache. The gate runs before the lookup so the
-        // verdict is identical on cold and warm caches.
-        let mut keys: Vec<(u64, String)> = Vec::with_capacity(batch.len());
-        let mut remainings: Vec<Option<u64>> = Vec::with_capacity(batch.len());
-        let mut plans: Vec<Plan> = Vec::with_capacity(batch.len());
-        let mut jobs: Vec<usize> = Vec::new();
-        for (req, backoff) in &batch {
-            let remaining = self.remaining_for(req, *backoff);
-            let canonical = req.canonical_string();
+    /// The one resolution path: every response the server produces comes
+    /// from here, whether its request was drained from the queue, degraded
+    /// inline at admission (a one-element batch), or settled by an
+    /// admission verdict. Three phases keep the result deterministic: (A)
+    /// deadline gate and cache consultation on the owner thread in request
+    /// order, (B) miss simulation fanned across worker bands into disjoint
+    /// slots (each against its request's remaining deadline budget), (C)
+    /// assembly, deadline replay for hits, cache insertion, and breaker
+    /// feedback back on the owner thread in request order.
+    fn resolve(&mut self, batch: Vec<Admitted>) -> Vec<SimResponse> {
+        let (hits, misses) = (self.cache.hits(), self.cache.misses());
+
+        // Phase A — content-address each request and plan it: an admission
+        // verdict stands; otherwise the deadline gate runs before the cache
+        // lookup so the verdict is identical on cold and warm caches.
+        let mut planned = Vec::with_capacity(batch.len());
+        let mut jobs: Vec<(usize, Option<u64>)> = Vec::new();
+        for (i, mut a) in batch.into_iter().enumerate() {
+            let remaining = self.remaining_for(&a.req, a.backoff);
+            let canonical = a.req.canonical_string();
             let key = fnv1a64(canonical.as_bytes());
-            let gated = remaining.and_then(|r| self.deadline_gate(req, r));
-            match gated {
-                Some(e) => plans.push(Plan::Deadline(e)),
-                None => match self.cache.lookup(key, &canonical) {
-                    Some(hit) => plans.push(Plan::Hit(hit)),
-                    None => {
-                        plans.push(Plan::Miss(jobs.len()));
-                        jobs.push(keys.len());
-                    }
+            let plan = match a.verdict.take() {
+                Some(verdict) => verdict,
+                None => match remaining.and_then(|r| self.deadline_gate(&a.req, r)) {
+                    Some(e) => Plan::Deadline(e),
+                    None => match self.cache.lookup(key, &canonical) {
+                        Some(hit) => Plan::Hit(hit),
+                        None => {
+                            jobs.push((i, remaining));
+                            Plan::Miss(jobs.len() - 1)
+                        }
+                    },
                 },
-            }
-            keys.push((key, canonical));
-            remainings.push(remaining);
+            };
+            planned.push((a, key, canonical, remaining, plan));
         }
 
         // Phase B — simulate the misses. Workers read shared-immutable
-        // device state and write disjoint one-slot bands.
+        // device state and write disjoint one-slot bands; a single miss
+        // runs on the owner thread.
         let mut slots: Vec<Option<SimOutcome>> = jobs.iter().map(|_| None).collect();
         {
-            let devices = &self.devices;
-            let batch_ref = &batch;
-            let jobs_ref = &jobs;
-            let remainings_ref = &remainings;
+            let this = &*self;
+            let planned = &planned;
+            let jobs = &jobs;
             slots
                 .par_chunks_mut(1)
-                .threads(workers)
+                .threads(this.cfg.workers.max(1))
                 .enumerate()
-                .for_each(|(i, slot)| {
-                    let (req, _) = &batch_ref[jobs_ref[i]];
-                    let cfg = devices
-                        .iter()
-                        .find(|(d, _)| *d == req.device)
-                        .map(|(_, c)| c)
-                        .expect("SimServer::new resolves every ServeDevice");
-                    slot[0] = Some(simulate_request(req, cfg, remainings_ref[jobs_ref[i]]));
+                .for_each(|(j, slot)| {
+                    let (i, remaining) = jobs[j];
+                    let req = &planned[i].0.req;
+                    slot[0] = Some(simulate_request(
+                        req,
+                        this.device_config(req.device),
+                        remaining,
+                    ));
                 });
         }
 
         // Phase C — assemble responses and fill the cache, in order.
-        let mut out = Vec::with_capacity(batch.len());
-        let (mut hits, mut misses) = (0u64, 0u64);
-        for (i, (((req, _), plan), ((key, canonical), remaining))) in batch
-            .into_iter()
-            .zip(plans)
-            .zip(keys.into_iter().zip(remainings))
-            .enumerate()
-        {
-            let (reports, method, degradations, from_cache, error, outcome, latency_ns) = match plan
-            {
-                Plan::Deadline(e) => (
-                    Vec::new(),
-                    req.kernel_family,
-                    Vec::new(),
-                    false,
-                    Some(e.to_string()),
-                    ServeOutcome::DeadlineExceeded,
-                    0,
-                ),
+        let mut out = Vec::with_capacity(planned.len());
+        for (i, (a, key, canonical, remaining, plan)) in planned.into_iter().enumerate() {
+            let mut resp = SimResponse {
+                dcn_overhead_ms: self.lut_overhead(&a.req),
+                key,
+                reports: Vec::new(),
+                method: a.req.kernel_family,
+                degradations: Vec::new(),
+                from_cache: false,
+                degraded_admission: a.degraded,
+                latency_ns: 0,
+                error: None,
+                outcome: ServeOutcome::Served,
+                request: a.req,
+            };
+            let verdict = match plan {
+                Plan::Deadline(e) => Some((e, ServeOutcome::DeadlineExceeded)),
+                Plan::Shed(e) => Some((e, ServeOutcome::Shed)),
                 Plan::Hit(hit) => {
-                    hits += 1;
+                    resp.latency_ns = hit.latency_ns;
                     // Replay the deadline verdict against the cached
                     // launch charges — the same predicate a budgeted
                     // fresh simulation evaluates.
                     match remaining.and_then(|r| hit_deadline_verdict(r, &hit.reports)) {
-                        Some(e) => (
-                            Vec::new(),
-                            req.kernel_family,
-                            Vec::new(),
-                            false,
-                            Some(e.to_string()),
-                            ServeOutcome::DeadlineExceeded,
-                            hit.latency_ns,
-                        ),
-                        None => (
-                            hit.reports,
-                            hit.method,
-                            hit.degradations,
-                            true,
-                            None,
-                            ServeOutcome::Served,
-                            hit.latency_ns,
-                        ),
+                        Some(e) => Some((e, ServeOutcome::DeadlineExceeded)),
+                        None => {
+                            resp.reports = hit.reports;
+                            resp.method = hit.method;
+                            resp.degradations = hit.degradations;
+                            resp.from_cache = true;
+                            None
+                        }
                     }
                 }
                 Plan::Miss(j) => {
-                    misses += 1;
-                    let outcome = slots[j].take().expect("phase B fills every miss slot");
-                    match outcome.result {
+                    let sim = slots[j].take().expect("phase B fills every miss slot");
+                    resp.latency_ns = sim.latency_ns;
+                    match sim.result {
                         Ok((reports, method, degradations)) => {
                             // Deadline-exceeded results never reach
                             // this arm (the ladder propagates the
@@ -1101,48 +1124,38 @@ impl SimServer {
                             // its budget.
                             self.cache
                                 .insert(key, canonical, &reports, method, &degradations);
-                            (
-                                reports,
-                                method,
-                                degradations,
-                                false,
-                                None,
-                                ServeOutcome::Served,
-                                outcome.latency_ns,
-                            )
+                            resp.reports = reports;
+                            resp.method = method;
+                            resp.degradations = degradations;
+                            None
                         }
-                        Err(e) => {
-                            let o = if matches!(e, DefconError::DeadlineExceeded { .. }) {
-                                ServeOutcome::DeadlineExceeded
-                            } else {
-                                ServeOutcome::Failed
-                            };
-                            (
-                                Vec::new(),
-                                req.kernel_family,
-                                Vec::new(),
-                                false,
-                                Some(e.to_string()),
-                                o,
-                                outcome.latency_ns,
-                            )
+                        Err(e @ DefconError::DeadlineExceeded { .. }) => {
+                            Some((e, ServeOutcome::DeadlineExceeded))
                         }
+                        Err(e) => Some((e, ServeOutcome::Failed)),
                     }
                 }
             };
+            if let Some((e, outcome)) = verdict {
+                resp.error = Some(e.to_string());
+                resp.outcome = outcome;
+            }
             let request_span = obs::span_with("serve.request", || {
                 vec![
                     ("index", Json::from(i)),
-                    ("device", Json::str(req.device.canonical_name())),
-                    ("kernel_family", Json::str(req.kernel_family.name())),
+                    ("device", Json::str(resp.request.device.canonical_name())),
+                    (
+                        "kernel_family",
+                        Json::str(resp.request.kernel_family.name()),
+                    ),
                     ("key", Json::str(format!("{key:016x}"))),
                 ]
             });
-            request_span.record("from_cache", Json::Bool(from_cache));
-            request_span.record("reports", Json::from(reports.len()));
+            request_span.record("from_cache", Json::Bool(resp.from_cache));
+            request_span.record("reports", Json::from(resp.reports.len()));
             drop(request_span);
             self.served += 1;
-            if outcome == ServeOutcome::DeadlineExceeded {
+            if resp.outcome == ServeOutcome::DeadlineExceeded {
                 self.deadline_exceeded += 1;
                 obs::counter_add("serve.deadline_exceeded", 1);
                 obs::event_with("serve.deadline", || {
@@ -1156,157 +1169,19 @@ impl SimServer {
             // the failed rungs, the served method the healthy one. Only
             // genuine serves feed it — deadline/shed verdicts say nothing
             // about rung health.
-            if outcome == ServeOutcome::Served {
+            if resp.outcome == ServeOutcome::Served {
                 self.breaker
-                    .note_outcome(req.kernel_family, degradations.len());
+                    .note_outcome(resp.request.kernel_family, resp.degradations.len());
             }
-            out.push(SimResponse {
-                dcn_overhead_ms: self.lut_overhead(&req),
-                request: req,
-                key,
-                reports,
-                method,
-                degradations,
-                from_cache,
-                degraded_admission: false,
-                latency_ns,
-                error,
-                outcome,
-            });
+            out.push(resp);
         }
         self.breaker.sync_obs();
         obs::counter_add("serve.requests", out.len() as u64);
-        obs::counter_add("serve.cache_hits", hits);
-        obs::counter_add("serve.cache_misses", misses);
-        obs::gauge_set("serve.queue_depth", 0.0);
+        obs::counter_add("serve.cache_hits", self.cache.hits() - hits);
+        obs::counter_add("serve.cache_misses", self.cache.misses() - misses);
+        obs::gauge_set("serve.queue_depth", self.queue.len() as f64);
         obs::gauge_set("serve.hit_rate", self.cache.hit_rate());
-        drain_span.record("hits", Json::from(hits));
-        drain_span.record("misses", Json::from(misses));
-        drop(drain_span);
         out
-    }
-
-    /// Serves one request on the owner thread, bypassing the queue. Used
-    /// for degraded admissions; same deadline gate, cache discipline and
-    /// breaker feedback as [`drain`].
-    ///
-    /// [`drain`]: SimServer::drain
-    fn serve_inline(
-        &mut self,
-        req: SimRequest,
-        backoff_cycles: u64,
-        degraded_admission: bool,
-    ) -> SimResponse {
-        let remaining = self.remaining_for(&req, backoff_cycles);
-        let canonical = req.canonical_string();
-        let key = fnv1a64(canonical.as_bytes());
-        let t0 = Instant::now();
-        let gated = remaining.and_then(|r| self.deadline_gate(&req, r));
-        // `None` when the deadline gate fired before the cache was
-        // consulted; otherwise whether the lookup hit (mirrors drain's
-        // hit/miss accounting even when the hit then fails its verdict).
-        let mut cache_hit: Option<bool> = None;
-        let (reports, method, degradations, from_cache, error, outcome) = match gated {
-            Some(e) => (
-                Vec::new(),
-                req.kernel_family,
-                Vec::new(),
-                false,
-                Some(e.to_string()),
-                ServeOutcome::DeadlineExceeded,
-            ),
-            None => match {
-                let looked = self.cache.lookup(key, &canonical);
-                cache_hit = Some(looked.is_some());
-                looked
-            } {
-                Some(hit) => match remaining.and_then(|r| hit_deadline_verdict(r, &hit.reports)) {
-                    Some(e) => (
-                        Vec::new(),
-                        req.kernel_family,
-                        Vec::new(),
-                        false,
-                        Some(e.to_string()),
-                        ServeOutcome::DeadlineExceeded,
-                    ),
-                    None => (
-                        hit.reports,
-                        hit.method,
-                        hit.degradations,
-                        true,
-                        None,
-                        ServeOutcome::Served,
-                    ),
-                },
-                None => {
-                    let sim = simulate_request(&req, self.device_config(req.device), remaining);
-                    match sim.result {
-                        Ok((reports, method, degradations)) => {
-                            self.cache
-                                .insert(key, canonical, &reports, method, &degradations);
-                            (
-                                reports,
-                                method,
-                                degradations,
-                                false,
-                                None,
-                                ServeOutcome::Served,
-                            )
-                        }
-                        Err(e) => {
-                            let o = if matches!(e, DefconError::DeadlineExceeded { .. }) {
-                                ServeOutcome::DeadlineExceeded
-                            } else {
-                                ServeOutcome::Failed
-                            };
-                            (
-                                Vec::new(),
-                                req.kernel_family,
-                                Vec::new(),
-                                false,
-                                Some(e.to_string()),
-                                o,
-                            )
-                        }
-                    }
-                }
-            },
-        };
-        obs::counter_add("serve.requests", 1);
-        if let Some(hit) = cache_hit {
-            obs::counter_add(
-                if hit {
-                    "serve.cache_hits"
-                } else {
-                    "serve.cache_misses"
-                },
-                1,
-            );
-        }
-        if outcome == ServeOutcome::DeadlineExceeded {
-            self.deadline_exceeded += 1;
-            obs::counter_add("serve.deadline_exceeded", 1);
-        }
-        if outcome == ServeOutcome::Served {
-            self.breaker
-                .note_outcome(req.kernel_family, degradations.len());
-        }
-        self.breaker.sync_obs();
-        obs::gauge_set("serve.hit_rate", self.cache.hit_rate());
-        self.served += 1;
-        SimResponse {
-            dcn_overhead_ms: self.lut_overhead(&req),
-            request: req,
-            key,
-            reports,
-            method,
-            degradations,
-            from_cache,
-            degraded_admission,
-            latency_ns: t0.elapsed().as_nanos() as u64,
-            error,
-            outcome,
-        }
     }
 
     fn lut_overhead(&self, req: &SimRequest) -> Option<f64> {
@@ -1338,101 +1213,102 @@ impl SimServer {
         let mut out = Vec::with_capacity(reqs.len());
         for req in reqs {
             let req = self.plan_admission(req);
-            let deadline = self.effective_deadline(&req);
             if self.submit_with(req.clone(), 0).is_ok() {
                 continue;
             }
-            let mut backoff_spent = 0u64;
-            let mut attempt = 0u32;
-            let mut settled = false;
-            let mut last_err: Option<DefconError> = None;
-            while attempt < self.cfg.retry.max_retries {
-                out.extend(self.drain());
-                let pause = self.cfg.retry.backoff_cycles(attempt);
-                backoff_spent = backoff_spent.saturating_add(pause);
-                self.retries += 1;
-                obs::counter_add("serve.retries", 1);
-                obs::event_with("serve.retry", || {
-                    vec![
-                        ("attempt", Json::from(attempt as u64)),
-                        ("backoff_cycles", Json::from(pause)),
-                    ]
-                });
-                if deadline != 0 && backoff_spent >= deadline {
-                    // The backoff alone exhausted the budget: the request
-                    // is terminally deadline-exceeded without simulating.
-                    self.deadline_exceeded += 1;
-                    obs::counter_add("serve.deadline_exceeded", 1);
-                    self.served += 1;
-                    out.push(self.terminal_response(
-                        req.clone(),
-                        DefconError::DeadlineExceeded {
-                            what: "serve backoff".to_string(),
-                            budget_cycles: deadline,
-                        },
-                        ServeOutcome::DeadlineExceeded,
-                    ));
-                    settled = true;
-                    break;
-                }
-                // The `retry.attempt` fault fails this re-attempt before
-                // the queue is consulted (a lost admission race).
-                let result = if fault::fires("retry.attempt") {
-                    Err(DefconError::Overloaded {
-                        what: "serve retry".to_string(),
-                        queue_depth: self.queue.len(),
-                        capacity: self.cfg.queue_capacity,
-                    })
-                } else {
-                    self.submit_with(req.clone(), backoff_spent)
-                };
-                match result {
-                    Ok(()) => {
-                        settled = true;
-                        break;
-                    }
-                    Err(e) => last_err = Some(e),
-                }
-                attempt += 1;
-            }
-            if settled {
-                continue;
-            }
-            // Retries exhausted: degrade one rung, or terminally shed at
-            // the software floor.
-            let err = last_err.unwrap_or(DefconError::Overloaded {
-                what: "serve queue".to_string(),
-                queue_depth: self.queue.len(),
-                capacity: self.cfg.queue_capacity,
-            });
-            match req.degraded() {
-                Some(degraded) => {
-                    self.degraded_admissions += 1;
-                    obs::event_with("serve.degrade", || {
-                        vec![
-                            ("from", Json::str(req.kernel_family.name())),
-                            ("to", Json::str(degraded.kernel_family.name())),
-                            ("error", Json::str(err.to_string())),
-                        ]
-                    });
-                    out.push(self.serve_inline(degraded, backoff_spent, true));
-                }
-                None => {
-                    self.terminal_sheds += 1;
-                    obs::counter_add("serve.sheds_terminal", 1);
-                    obs::event_with("serve.shed_terminal", || {
-                        vec![
-                            ("kernel_family", Json::str(req.kernel_family.name())),
-                            ("error", Json::str(err.to_string())),
-                        ]
-                    });
-                    self.served += 1;
-                    out.push(self.terminal_response(req.clone(), err, ServeOutcome::Shed));
-                }
+            if let Some(settled) = self.retry_admission(req, &mut out) {
+                out.extend(self.resolve(vec![settled]));
             }
         }
         out.extend(self.drain());
         out
+    }
+
+    /// The retry loop for a request whose first submit was shed: drains
+    /// the backlog into `out` before each re-attempt. Returns `None` once
+    /// the request is queued; otherwise the settled admission — a backoff
+    /// deadline verdict, a one-rung degradation to serve inline, or a
+    /// terminal shed at the software floor.
+    fn retry_admission(&mut self, req: SimRequest, out: &mut Vec<SimResponse>) -> Option<Admitted> {
+        let deadline = self.effective_deadline(&req);
+        let mut backoff_spent = 0u64;
+        let mut last_err: Option<DefconError> = None;
+        for attempt in 0..self.cfg.retry.max_retries {
+            out.extend(self.drain());
+            let pause = self.cfg.retry.backoff_cycles(attempt);
+            backoff_spent = backoff_spent.saturating_add(pause);
+            self.retries += 1;
+            obs::counter_add("serve.retries", 1);
+            obs::event_with("serve.retry", || {
+                vec![
+                    ("attempt", Json::from(attempt as u64)),
+                    ("backoff_cycles", Json::from(pause)),
+                ]
+            });
+            if deadline != 0 && backoff_spent >= deadline {
+                // The backoff alone exhausted the budget: the request is
+                // terminally deadline-exceeded without simulating.
+                return Some(Admitted {
+                    verdict: Some(Plan::Deadline(DefconError::DeadlineExceeded {
+                        what: "serve backoff".to_string(),
+                        budget_cycles: deadline,
+                    })),
+                    ..Admitted::new(req, backoff_spent)
+                });
+            }
+            // The `retry.attempt` fault fails this re-attempt before the
+            // queue is consulted (a lost admission race).
+            let result = if fault::fires("retry.attempt") {
+                Err(DefconError::Overloaded {
+                    what: "serve retry".to_string(),
+                    queue_depth: self.queue.len(),
+                    capacity: self.cfg.queue_capacity,
+                })
+            } else {
+                self.submit_with(req.clone(), backoff_spent)
+            };
+            match result {
+                Ok(()) => return None,
+                Err(e) => last_err = Some(e),
+            }
+        }
+        // Retries exhausted: degrade one rung, or terminally shed at the
+        // software floor.
+        let err = last_err.unwrap_or(DefconError::Overloaded {
+            what: "serve queue".to_string(),
+            queue_depth: self.queue.len(),
+            capacity: self.cfg.queue_capacity,
+        });
+        Some(match req.degraded() {
+            Some(degraded) => {
+                self.degraded_admissions += 1;
+                obs::event_with("serve.degrade", || {
+                    vec![
+                        ("from", Json::str(req.kernel_family.name())),
+                        ("to", Json::str(degraded.kernel_family.name())),
+                        ("error", Json::str(err.to_string())),
+                    ]
+                });
+                Admitted {
+                    degraded: true,
+                    ..Admitted::new(degraded, backoff_spent)
+                }
+            }
+            None => {
+                self.terminal_sheds += 1;
+                obs::counter_add("serve.sheds_terminal", 1);
+                obs::event_with("serve.shed_terminal", || {
+                    vec![
+                        ("kernel_family", Json::str(req.kernel_family.name())),
+                        ("error", Json::str(err.to_string())),
+                    ]
+                });
+                Admitted {
+                    verdict: Some(Plan::Shed(err)),
+                    ..Admitted::new(req, backoff_spent)
+                }
+            }
+        })
     }
 
     /// Breaker-aware admission planning: force-opens the requested rung
@@ -1462,30 +1338,6 @@ impl SimServer {
         SimRequest {
             kernel_family: planned,
             ..req.clone()
-        }
-    }
-
-    /// A reports-free response for a terminal (shed / deadline) verdict.
-    fn terminal_response(
-        &self,
-        req: SimRequest,
-        err: DefconError,
-        outcome: ServeOutcome,
-    ) -> SimResponse {
-        let canonical = req.canonical_string();
-        let method = req.kernel_family;
-        SimResponse {
-            dcn_overhead_ms: self.lut_overhead(&req),
-            key: fnv1a64(canonical.as_bytes()),
-            request: req,
-            reports: Vec::new(),
-            method,
-            degradations: Vec::new(),
-            from_cache: false,
-            degraded_admission: false,
-            latency_ns: 0,
-            error: Some(err.to_string()),
-            outcome,
         }
     }
 

@@ -268,10 +268,10 @@ impl Gpu {
         }
     }
 
-    /// Attaches a deadline budget: subsequent launches via
-    /// [`Gpu::launch_checked`] / [`Gpu::try_launch`] fail with
-    /// [`DefconError::DeadlineExceeded`] once the budget is cancelled or
-    /// exhausted, and each completed launch charges its simulated cycles.
+    /// Attaches a deadline budget: subsequent [`Gpu::try_launch`] calls
+    /// fail with [`DefconError::DeadlineExceeded`] once the budget is
+    /// cancelled or exhausted, and each completed launch charges its
+    /// simulated cycles.
     pub fn with_budget(mut self, budget: Arc<DeadlineBudget>) -> Self {
         self.budget = Some(budget);
         self
@@ -292,7 +292,17 @@ impl Gpu {
         self.policy
     }
 
-    /// Simulates one kernel launch and returns its report.
+    /// [`Gpu::try_launch`] for trusted launches: panics where it would
+    /// return an error (invalid device config, empty grid or block, or a
+    /// tripped deadline budget). Use `try_launch` on paths fed by external
+    /// configuration or carrying a budget.
+    pub fn launch(&self, kernel: &dyn BlockTrace) -> KernelReport {
+        self.try_launch(kernel)
+            .expect("launch(): invalid launch or tripped budget — use try_launch on fallible paths")
+    }
+
+    /// Simulates one kernel launch and returns its report — the single
+    /// fallible launch entry.
     ///
     /// Per-SM caches (L1, texture) are flushed between blocks — blocks are
     /// independent CTAs and, under sampling, generally not neighbours on the
@@ -301,42 +311,25 @@ impl Gpu {
     /// results merge in block-index order (see the module docs for the
     /// determinism contract). With one thread this is byte-identical to
     /// [`Gpu::launch_serial`].
-    /// [`Gpu::launch`] behind validation: the device config and launch
-    /// shape are checked first and violations come back as typed
-    /// [`DefconError`]s instead of the panics `launch` raises on malformed
-    /// input. Use this on paths fed by external configuration.
-    pub fn try_launch(
-        &self,
-        kernel: &dyn BlockTrace,
-    ) -> Result<KernelReport, defcon_support::error::DefconError> {
+    ///
+    /// Fails with a typed [`DefconError`] instead of panicking: a
+    /// [`DefconError::Constraint`] for an invalid device config, an empty
+    /// grid or an empty block, and [`DefconError::DeadlineExceeded`] when
+    /// an attached [`DeadlineBudget`] is (or becomes) cancelled or
+    /// exhausted. Without a budget a valid launch never fails.
+    pub fn try_launch(&self, kernel: &dyn BlockTrace) -> Result<KernelReport, DefconError> {
         self.cfg.validate()?;
-        let constraint = |detail: String| defcon_support::error::DefconError::Constraint {
+        let constraint = |detail: &str| DefconError::Constraint {
             what: "launch".to_string(),
-            detail,
+            detail: detail.to_string(),
         };
-        if kernel.grid_blocks() == 0 {
-            return Err(constraint("empty grid (grid_blocks() == 0)".to_string()));
+        let grid = kernel.grid_blocks();
+        if grid == 0 {
+            return Err(constraint("empty grid (grid_blocks() == 0)"));
         }
         if kernel.block_threads() == 0 {
-            return Err(constraint("empty block (block_threads() == 0)".to_string()));
+            return Err(constraint("empty block (block_threads() == 0)"));
         }
-        self.launch_impl(kernel)
-    }
-
-    pub fn launch(&self, kernel: &dyn BlockTrace) -> KernelReport {
-        self.launch_impl(kernel)
-            .expect("launch(): deadline budget tripped — use launch_checked on budgeted paths")
-    }
-
-    /// [`Gpu::launch`] returning a `Result`: when a [`DeadlineBudget`] is
-    /// attached and is (or becomes) cancelled/exhausted, the launch fails
-    /// with [`DefconError::DeadlineExceeded`] instead of panicking. Without
-    /// a budget this never fails and is byte-identical to `launch`.
-    pub fn launch_checked(&self, kernel: &dyn BlockTrace) -> Result<KernelReport, DefconError> {
-        self.launch_impl(kernel)
-    }
-
-    fn launch_impl(&self, kernel: &dyn BlockTrace) -> Result<KernelReport, DefconError> {
         // Fail fast between launches: the token only transitions on the
         // owner thread (charge / explicit cancel), so this entry check is
         // deterministic for a fixed (request, budget) pair.
@@ -345,8 +338,6 @@ impl Gpu {
                 return Err(b.deadline_error(&format!("launch {}", kernel.label())));
             }
         }
-        let grid = kernel.grid_blocks();
-        assert!(grid > 0, "empty grid");
         let warps = kernel.block_threads().div_ceil(self.cfg.warp_size);
 
         let sample = self.policy.select(grid);
@@ -1028,20 +1019,20 @@ mod tests {
         let budget = Arc::new(DeadlineBudget::new(2 * per_launch));
         let gpu = Gpu::new(DeviceConfig::xavier_agx()).with_budget(Arc::clone(&budget));
 
-        let r1 = gpu.launch_checked(&k).expect("first launch fits");
-        let r2 = gpu.launch_checked(&k).expect("second launch fits exactly");
+        let r1 = gpu.try_launch(&k).expect("first launch fits");
+        let r2 = gpu.try_launch(&k).expect("second launch fits exactly");
         assert_eq!(budget.spent_cycles(), 2 * per_launch);
         assert!(!budget.exceeded());
         // Third launch pushes the spend past the budget: the launch fails,
         // its report is discarded, and the token is now cancelled.
-        let e = gpu.launch_checked(&k).unwrap_err();
+        let e = gpu.try_launch(&k).unwrap_err();
         assert!(matches!(
             e,
             DefconError::DeadlineExceeded { budget_cycles, .. } if budget_cycles == 2 * per_launch
         ));
         assert!(budget.is_cancelled());
         // Fourth fails at entry, without simulating anything.
-        assert!(gpu.launch_checked(&k).is_err());
+        assert!(gpu.try_launch(&k).is_err());
         // The two completed reports are bytes-identical to unbudgeted runs.
         assert_eq!(r1.to_json().to_string(), probe.to_json().to_string());
         assert_eq!(r2.to_json().to_string(), probe.to_json().to_string());
@@ -1058,7 +1049,7 @@ mod tests {
         let budget = Arc::new(DeadlineBudget::new(u64::MAX));
         budget.cancel();
         let gpu = Gpu::new(DeviceConfig::xavier_agx()).with_budget(Arc::clone(&budget));
-        let e = gpu.launch_checked(&k).unwrap_err();
+        let e = gpu.try_launch(&k).unwrap_err();
         assert!(matches!(e, DefconError::DeadlineExceeded { .. }));
         assert_eq!(budget.spent_cycles(), 0, "nothing was simulated");
     }
@@ -1083,7 +1074,7 @@ mod tests {
             .with_budget(Arc::new(DeadlineBudget::new(u64::MAX)));
             assert_eq!(
                 budgeted
-                    .launch_checked(&k)
+                    .try_launch(&k)
                     .expect("u64::MAX budget cannot trip")
                     .to_json()
                     .to_string(),
@@ -1116,7 +1107,7 @@ mod tests {
             let b = Arc::clone(&budget);
             std::thread::spawn(move || b.cancel())
         };
-        let first = gpu.launch_checked(&k);
+        let first = gpu.try_launch(&k);
         canceller.join().unwrap();
         if let Ok(report) = first {
             // Raced ahead of the cancel: the completed report must be exact.
@@ -1130,7 +1121,7 @@ mod tests {
             );
         }
         // Once the token is set, every subsequent launch fails at entry.
-        let e = gpu.launch_checked(&k).unwrap_err();
+        let e = gpu.try_launch(&k).unwrap_err();
         assert!(matches!(e, DefconError::DeadlineExceeded { .. }));
     }
 

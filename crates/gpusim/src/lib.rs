@@ -49,6 +49,33 @@ pub mod report;
 pub mod texture;
 pub mod trace;
 
+/// Verbatim pre-rewrite twins of the texture samplers, kept only as
+/// bitwise oracles: the boundary property tests and the hot-path bench
+/// check that [`LayeredTexture2d::fetch`] and
+/// [`mipmap::MipmappedArray2d::fetch_trilinear`] match them bit for bit.
+/// Not part of the supported API.
+#[doc(hidden)]
+pub mod oracle {
+    use crate::mipmap::MipmappedArray2d;
+    use crate::texture::{Fetch, LayeredTexture2d};
+
+    /// The pre-rewrite [`LayeredTexture2d::fetch`].
+    pub fn fetch_legacy(tex: &LayeredTexture2d, layer: usize, y: f32, x: f32) -> Fetch {
+        tex.fetch_legacy(layer, y, x)
+    }
+
+    /// The pre-rewrite [`MipmappedArray2d::fetch_trilinear`].
+    pub fn fetch_trilinear_legacy(
+        mip: &MipmappedArray2d,
+        layer: usize,
+        y: f32,
+        x: f32,
+        lod: f32,
+    ) -> f32 {
+        mip.fetch_trilinear_legacy(layer, y, x, lod)
+    }
+}
+
 pub use device::DeviceConfig;
 pub use engine::{default_threads, DeadlineBudget, Gpu, SamplePolicy};
 pub use report::{Counters, KernelReport};

@@ -117,8 +117,8 @@ impl MipmappedArray2d {
     /// reciprocal table, and the integer-LOD / top-of-pyramid cases fold
     /// into a single `blends` predicate, so a degenerate trilinear fetch is
     /// exactly one bilinear fetch behind one branch (no closure, no
-    /// per-sample shift/divide). Bit-identical to
-    /// [`MipmappedArray2d::fetch_trilinear_legacy`].
+    /// per-sample shift/divide). Bit-identical to the pre-rewrite path in
+    /// `crate::oracle`.
     pub fn fetch_trilinear(&self, layer: usize, y: f32, x: f32, lod: f32) -> f32 {
         let top = self.levels.len() - 1;
         let lod = lod.clamp(0.0, top as f32);
@@ -139,10 +139,10 @@ impl MipmappedArray2d {
     }
 
     /// Verbatim pre-rewrite trilinear path (per-sample scale
-    /// reconstruction, closure-based branch tree). Oracle for the boundary
-    /// property tests — [`MipmappedArray2d::fetch_trilinear`] must match it
+    /// reconstruction, closure-based branch tree), reached through
+    /// `crate::oracle` — [`MipmappedArray2d::fetch_trilinear`] must match it
     /// bit for bit.
-    pub fn fetch_trilinear_legacy(&self, layer: usize, y: f32, x: f32, lod: f32) -> f32 {
+    pub(crate) fn fetch_trilinear_legacy(&self, layer: usize, y: f32, x: f32, lod: f32) -> f32 {
         let lod = lod.clamp(0.0, (self.levels.len() - 1) as f32);
         let l0 = lod.floor() as usize;
         let l1 = (l0 + 1).min(self.levels.len() - 1);

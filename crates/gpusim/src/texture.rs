@@ -371,10 +371,10 @@ impl LayeredTexture2d {
     }
 
     /// Verbatim pre-rewrite fetch path (per-texel address-mode resolution,
-    /// stride math rebuilt per texel, branchy 2×2 walk). Retained as the
-    /// oracle for the hot-path equivalence bench and the boundary property
-    /// tests — [`LayeredTexture2d::fetch`] must match it bit for bit.
-    pub fn fetch_legacy(&self, layer: usize, y: f32, x: f32) -> Fetch {
+    /// stride math rebuilt per texel, branchy 2×2 walk), reached through
+    /// `crate::oracle` — [`LayeredTexture2d::fetch`] must match it bit for
+    /// bit.
+    pub(crate) fn fetch_legacy(&self, layer: usize, y: f32, x: f32) -> Fetch {
         match self.filter_mode {
             FilterMode::Point => {
                 let qy = self.resolve(y.round() as isize, self.height);
@@ -438,7 +438,7 @@ impl LayeredTexture2d {
     }
 
     /// The pre-rewrite texel address computation (layer stride rebuilt on
-    /// every call), kept for [`LayeredTexture2d::fetch_legacy`].
+    /// every call), kept for `LayeredTexture2d::fetch_legacy`.
     #[inline]
     fn texel_addr_legacy(&self, layer: usize, y: usize, x: usize) -> u64 {
         let (ty, tx) = (y / TILE_H, x / TILE_W);

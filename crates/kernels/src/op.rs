@@ -61,8 +61,8 @@ impl SamplingMethod {
     }
 
     /// One rung down the fallback ladder (`tex2D++` → `tex2D` → software);
-    /// `None` once at the software floor. This is the same order
-    /// [`simulate_deform_with_fallback`] walks on texture-constraint
+    /// `None` once at the software floor. This is the order
+    /// [`DeformConvOp::simulate_deform_with_fallback`] walks on texture-constraint
     /// failures, reused by `core::serve` as its overload degradation.
     pub fn degrade(&self) -> Option<SamplingMethod> {
         match self {
@@ -226,21 +226,83 @@ impl DeformConvOp {
     /// Simulates the deformable stage on `gpu`, returning one report per
     /// kernel launch.
     ///
+    /// Panics where [`DeformConvOp::try_simulate_deform`] would return an
+    /// error (texture limits exceeded, invalid launch, tripped budget).
+    pub fn simulate_deform(&self, gpu: &Gpu, x: &Tensor, offsets: &Tensor) -> Vec<KernelReport> {
+        self.try_simulate_deform(gpu, x, offsets)
+            .expect("simulate_deform(): use try_simulate_deform on fallible paths")
+    }
+
+    /// Simulates the deformable stage on `gpu`, returning one report per
+    /// kernel launch — the single fallible deform entry.
+    ///
     /// The software baseline runs as PyTorch ships it — an im2col sampling
     /// kernel followed by a GEMM over the materialized column matrix. The
     /// texture variants run DEFCON's **fused** kernel (sampling feeds the
     /// convolution accumulators directly; no column buffer).
     ///
-    /// Panics when the shape exceeds the device's texture limits; see
-    /// [`DeformConvOp::try_simulate_deform`] for the fallible form.
-    pub fn simulate_deform(&self, gpu: &Gpu, x: &Tensor, offsets: &Tensor) -> Vec<KernelReport> {
-        self.try_simulate_deform(gpu, x, offsets)
-            .expect("texture limits exceeded")
+    /// When a texture method's `N × C_in` exceeds the device's
+    /// layered-texture limit, the batch is partitioned (paper §III-B): each
+    /// partition of whole images is uploaded and launched separately, which
+    /// "results in the overhead associated with multiple invocations of the
+    /// GPU kernel". A batch that fits is one partition — one launch, exactly
+    /// as unpartitioned. Texture-limit failures, including a *single*
+    /// image's channels exceeding the layer limit, come back as typed
+    /// [`DefconError::Constraint`]s.
+    pub fn try_simulate_deform(
+        &self,
+        gpu: &Gpu,
+        x: &Tensor,
+        offsets: &Tensor,
+    ) -> Result<Vec<KernelReport>, DefconError> {
+        let max_layers = gpu.config().max_texture_layers;
+        let s = self.shape;
+        if self.method == SamplingMethod::SoftwareBilinear || s.n * s.c_in <= max_layers {
+            return self.launch_deform(gpu, x, offsets);
+        }
+        if s.c_in > max_layers {
+            return Err(DefconError::Constraint {
+                what: "texture-limit".into(),
+                detail: format!(
+                    "a single image's channels ({}) exceed the texture layer limit ({max_layers})",
+                    s.c_in
+                ),
+            });
+        }
+        let per_chunk = max_layers / s.c_in;
+        let (oh, ow) = s.out_hw();
+        let mut reports = Vec::new();
+        let mut n0 = 0usize;
+        while n0 < s.n {
+            let n_here = per_chunk.min(s.n - n0);
+            // Slice the batch range out of x, offsets and modulation.
+            let slice = |t: &Tensor, c: usize, h: usize, w: usize| {
+                let stride = c * h * w;
+                Tensor::from_vec(
+                    t.data()[n0 * stride..(n0 + n_here) * stride].to_vec(),
+                    &[n_here, c, h, w],
+                )
+            };
+            let op = DeformConvOp {
+                shape: DeformLayerShape { n: n_here, ..s },
+                modulation: self
+                    .modulation
+                    .as_ref()
+                    .map(|m| slice(m, self.family.modulation_channels(&s), oh, ow)),
+                ..self.clone()
+            };
+            reports.extend(op.launch_deform(
+                gpu,
+                &slice(x, s.c_in, s.h, s.w),
+                &slice(offsets, s.offset_channels(), oh, ow),
+            )?);
+            n0 += n_here;
+        }
+        Ok(reports)
     }
 
-    /// [`DeformConvOp::simulate_deform`] with the texture-limit failure
-    /// surfaced as a typed [`DefconError::Constraint`] instead of a panic.
-    pub fn try_simulate_deform(
+    /// One unpartitioned launch of the deformable stage.
+    fn launch_deform(
         &self,
         gpu: &Gpu,
         x: &Tensor,
@@ -263,10 +325,7 @@ impl DeformConvOp {
                 )
                 .map_err(texture_constraint)?;
                 let gemm_stage = GemmKernel::for_conv(&self.shape);
-                Ok(vec![
-                    gpu.launch_checked(&im2col)?,
-                    gpu.launch_checked(&gemm_stage)?,
-                ])
+                Ok(vec![gpu.try_launch(&im2col)?, gpu.try_launch(&gemm_stage)?])
             }
             SamplingMethod::Tex2d | SamplingMethod::Tex2dPlusPlus => {
                 let frac_bits = match self.method.sampling() {
@@ -288,7 +347,7 @@ impl DeformConvOp {
                 .map_err(texture_constraint)?;
                 fused.co_blocks =
                     crate::fused::FusedTexDeformKernel::pick_co_blocks(&self.shape, self.tile, cfg);
-                Ok(vec![gpu.launch_checked(&fused)?])
+                Ok(vec![gpu.try_launch(&fused)?])
             }
         }
     }
@@ -537,96 +596,15 @@ mod tests {
 }
 
 // ---------------------------------------------------------------------------
-// Mini-batch partitioning over the layered-texture limit (paper §III-B's
-// "future work": when batch × channels exceeds the 2048-layer limit, load
-// a subset of mini-batches at a time and pay the extra kernel launches)
+// Graceful degradation along the paper's method ladder
 // ---------------------------------------------------------------------------
 
 impl DeformConvOp {
-    /// Like [`DeformConvOp::simulate_deform`], but transparently partitions
-    /// the batch when `N × C_in` exceeds the device's layered-texture limit
-    /// (paper §III-B): each partition is uploaded and launched separately,
-    /// which "results in the overhead associated with multiple invocations
-    /// of the GPU kernel". Returns the per-launch reports (one partition ⇒
-    /// identical to `simulate_deform`).
-    pub fn simulate_deform_partitioned(
-        &self,
-        gpu: &Gpu,
-        x: &Tensor,
-        offsets: &Tensor,
-    ) -> Vec<KernelReport> {
-        self.try_simulate_deform_partitioned(gpu, x, offsets)
-            .expect("texture limits exceeded")
-    }
-
-    /// [`DeformConvOp::simulate_deform_partitioned`] with texture-limit
-    /// failures surfaced as typed [`DefconError::Constraint`]s instead of
-    /// panics — including the unpartitionable case where a *single*
-    /// image's channel count already exceeds the layer limit.
-    pub fn try_simulate_deform_partitioned(
-        &self,
-        gpu: &Gpu,
-        x: &Tensor,
-        offsets: &Tensor,
-    ) -> Result<Vec<KernelReport>, DefconError> {
-        let max_layers = gpu.config().max_texture_layers;
-        let s = self.shape;
-        let needs_partition = matches!(
-            self.method,
-            SamplingMethod::Tex2d | SamplingMethod::Tex2dPlusPlus
-        ) && s.n * s.c_in > max_layers;
-        if !needs_partition {
-            return self.try_simulate_deform(gpu, x, offsets);
-        }
-        if s.c_in > max_layers {
-            return Err(DefconError::Constraint {
-                what: "texture-limit".into(),
-                detail: format!(
-                    "a single image's channels ({}) exceed the texture layer limit ({max_layers})",
-                    s.c_in
-                ),
-            });
-        }
-        let per_chunk = max_layers / s.c_in;
-        let (oh, ow) = s.out_hw();
-        let mut reports = Vec::new();
-        let mut n0 = 0usize;
-        while n0 < s.n {
-            let n_here = per_chunk.min(s.n - n0);
-            let chunk_shape = DeformLayerShape { n: n_here, ..s };
-            // Slice the batch range out of x and offsets.
-            let x_stride = s.c_in * s.h * s.w;
-            let o_stride = s.offset_channels() * oh * ow;
-            let x_chunk = Tensor::from_vec(
-                x.data()[n0 * x_stride..(n0 + n_here) * x_stride].to_vec(),
-                &[n_here, s.c_in, s.h, s.w],
-            );
-            let o_chunk = Tensor::from_vec(
-                offsets.data()[n0 * o_stride..(n0 + n_here) * o_stride].to_vec(),
-                &[n_here, s.offset_channels(), oh, ow],
-            );
-            let m_chunk = self.modulation.as_ref().map(|m| {
-                let mc = self.family.modulation_channels(&s);
-                let m_stride = mc * oh * ow;
-                Tensor::from_vec(
-                    m.data()[n0 * m_stride..(n0 + n_here) * m_stride].to_vec(),
-                    &[n_here, mc, oh, ow],
-                )
-            });
-            let op = DeformConvOp {
-                shape: chunk_shape,
-                modulation: m_chunk,
-                ..self.clone()
-            };
-            reports.extend(op.try_simulate_deform(gpu, &x_chunk, &o_chunk)?);
-            n0 += n_here;
-        }
-        Ok(reports)
-    }
-
     /// Simulates the deformable stage with graceful degradation along the
-    /// paper's method ladder: `tex2D++ → tex2D → software`. Each rung uses
-    /// the batch-partitioned launcher; a rung that fails its texture setup
+    /// paper's method ladder: `tex2D++ → tex2D → software`, walked by
+    /// [`SamplingMethod::degrade`]. Each rung runs
+    /// [`DeformConvOp::try_simulate_deform`] (which partitions oversized
+    /// batches); a rung that fails its texture setup
     /// (layer/dimension limits, or an injected `texture.limit` fault) is
     /// recorded in `degradations` and the next rung is tried. The software
     /// rung reads global memory and cannot hit texture limits, so a
@@ -638,15 +616,8 @@ impl DeformConvOp {
         x: &Tensor,
         offsets: &Tensor,
     ) -> Result<DeformFallback, DefconError> {
-        let chain: &[SamplingMethod] = match self.method {
-            SamplingMethod::Tex2dPlusPlus => &[
-                SamplingMethod::Tex2dPlusPlus,
-                SamplingMethod::Tex2d,
-                SamplingMethod::SoftwareBilinear,
-            ],
-            SamplingMethod::Tex2d => &[SamplingMethod::Tex2d, SamplingMethod::SoftwareBilinear],
-            SamplingMethod::SoftwareBilinear => &[SamplingMethod::SoftwareBilinear],
-        };
+        let chain: Vec<SamplingMethod> =
+            std::iter::successors(Some(self.method), SamplingMethod::degrade).collect();
         let ladder_span = obs::span_with("kernels.fallback_ladder", || {
             vec![
                 ("requested", Json::str(self.method.name())),
@@ -655,12 +626,12 @@ impl DeformConvOp {
         });
         let mut degradations = Vec::new();
         let mut last = None;
-        for &method in chain {
+        for method in chain {
             let op = DeformConvOp {
                 method,
                 ..self.clone()
             };
-            match op.try_simulate_deform_partitioned(gpu, x, offsets) {
+            match op.try_simulate_deform(gpu, x, offsets) {
                 Ok(reports) => {
                     ladder_span.record("selected", Json::str(method.name()));
                     ladder_span.record("degradations", Json::from(degradations.len()));
@@ -718,7 +689,7 @@ mod partition_tests {
             method: SamplingMethod::Tex2d,
             ..DeformConvOp::baseline(shape)
         };
-        let reports = op.simulate_deform_partitioned(&gpu, &x, &off);
+        let reports = op.simulate_deform(&gpu, &x, &off);
         assert_eq!(reports.len(), 1, "fused kernel, one launch");
     }
 
@@ -735,7 +706,7 @@ mod partition_tests {
             method: SamplingMethod::Tex2dPlusPlus,
             ..DeformConvOp::baseline(shape)
         };
-        let reports = op.simulate_deform_partitioned(&gpu, &x, &off);
+        let reports = op.simulate_deform(&gpu, &x, &off);
         assert_eq!(reports.len(), 2, "expected two texture partitions");
         // Each partition carries its own launch overhead — the cost the
         // paper predicts for partitioned training batches.
@@ -766,9 +737,7 @@ mod partition_tests {
                 method: SamplingMethod::Tex2d,
                 ..DeformConvOp::baseline(shape)
             };
-            op.try_simulate_deform_partitioned(&gpu, &x, &off)
-                .unwrap()
-                .len()
+            op.try_simulate_deform(&gpu, &x, &off).unwrap().len()
         };
         assert_eq!(launches(1, 2047), 1, "under the limit: single launch");
         assert_eq!(launches(1, 2048), 1, "exactly at the limit: single launch");
@@ -787,9 +756,7 @@ mod partition_tests {
             method: SamplingMethod::Tex2dPlusPlus,
             ..DeformConvOp::baseline(shape)
         };
-        let err = op
-            .try_simulate_deform_partitioned(&gpu, &x, &off)
-            .unwrap_err();
+        let err = op.try_simulate_deform(&gpu, &x, &off).unwrap_err();
         assert!(matches!(err, DefconError::Constraint { .. }), "{err}");
         assert!(err.is_degradable());
     }
@@ -839,7 +806,7 @@ mod partition_tests {
         let op = DeformConvOp::baseline(shape);
         // Software bilinear reads global memory; the texture limit is
         // irrelevant (2 launches = im2col + GEMM, not partitions).
-        let reports = op.simulate_deform_partitioned(&gpu, &x, &off);
+        let reports = op.simulate_deform(&gpu, &x, &off);
         assert_eq!(reports.len(), 2);
         assert!(reports.iter().any(|r| r.kernel == "deform_im2col_sw"));
     }

@@ -14,7 +14,7 @@
 //!   (replaces `serde`/`serde_json`);
 //! * [`prop`] — a seeded property-testing harness with reproducible
 //!   failing-case reports (replaces `proptest`);
-//! * [`bench`] — a wall-clock micro-benchmark harness for the
+//! * [`bench`](mod@bench) — a wall-clock micro-benchmark harness for the
 //!   `harness = false` bench binaries (replaces `criterion`);
 //! * [`lanebuf`] — a fixed-capacity, stack-allocated buffer for warp-level
 //!   events (the zero-allocation trace hot path, replaces ad-hoc `Vec`s);
@@ -26,7 +26,7 @@
 //! * [`error`] — the workspace-wide typed error, [`error::DefconError`];
 //! * [`fault`] — seeded, deterministic fault injection behind named fault
 //!   points (zero cost disarmed, byte-reproducible armed);
-//! * [`env`] — the single parser for the `DEFCON_*` environment switches,
+//! * [`env`](mod@env) — the single parser for the `DEFCON_*` environment switches,
 //!   rejecting malformed values with a clear error;
 //! * [`ckpt`] — atomic (write-temp + rename), CRC-framed checkpoint IO
 //!   with corrupt-file recovery;

@@ -5,7 +5,8 @@
 //! returning `Err(reason)` on violation. Failures panic with the case
 //! number, the per-case seed and the `Debug` form of the input, so any
 //! failure reproduces exactly by re-running the test — no shrinking, no
-//! persistence files, no macros beyond [`prop_assert!`]/[`prop_assert_eq!`].
+//! persistence files, no macros beyond [`prop_assert!`](crate::prop_assert)/
+//! [`prop_assert_eq!`](crate::prop_assert_eq).
 //!
 //! ```
 //! use defcon_support::prop::{self, Config};
@@ -63,8 +64,8 @@ pub fn case_seed(master: u64, case: u32) -> u64 {
 /// Runs `property` on `config.cases` inputs drawn by `generate`.
 ///
 /// Panics on the first violated case, reporting the input. The property
-/// returns `Err(reason)` to fail; the [`prop_assert!`] and
-/// [`prop_assert_eq!`] macros build those early returns.
+/// returns `Err(reason)` to fail; the [`prop_assert!`](crate::prop_assert) and
+/// [`prop_assert_eq!`](crate::prop_assert_eq) macros build those early returns.
 pub fn check<T: std::fmt::Debug>(
     name: &str,
     config: &Config,

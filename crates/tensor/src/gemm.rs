@@ -95,9 +95,10 @@ pub fn gemm(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
 }
 
 /// Verbatim pre-rewrite `gemm` (plain saxpy inner loop, no register
-/// blocking). Oracle for the bitwise-pinning tests and the hot-path bench:
-/// [`gemm`] must match it bit for bit on every input.
-pub fn gemm_legacy(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+/// blocking). Test-only oracle for the bitwise-pinning tests: [`gemm`]
+/// must match it bit for bit on every input.
+#[cfg(test)]
+fn gemm_legacy(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     assert_eq!(a.len(), m * k, "A length mismatch");
     assert_eq!(b.len(), k * n, "B length mismatch");
     assert_eq!(c.len(), m * n, "C length mismatch");
@@ -183,7 +184,8 @@ pub fn gemm_bt(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize
 }
 
 /// Verbatim pre-rewrite `gemm_bt` (one dot product per output column).
-pub fn gemm_bt_legacy(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+#[cfg(test)]
+fn gemm_bt_legacy(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     assert_eq!(a.len(), m * k, "A length mismatch");
     assert_eq!(b.len(), n * k, "B length mismatch");
     assert_eq!(c.len(), m * n, "C length mismatch");
@@ -245,7 +247,8 @@ pub fn gemm_at(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize
 }
 
 /// Verbatim pre-rewrite `gemm_at`.
-pub fn gemm_at_legacy(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+#[cfg(test)]
+fn gemm_at_legacy(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     assert_eq!(a.len(), k * m, "A length mismatch");
     assert_eq!(b.len(), k * n, "B length mismatch");
     assert_eq!(c.len(), m * n, "C length mismatch");

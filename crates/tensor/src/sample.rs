@@ -260,9 +260,10 @@ pub fn deform_conv2d_ref(
 
 /// Verbatim copy of the pre-restructure [`deform_conv2d_ref`] (one task per
 /// `(n, c_out)` slab, samples recomputed for every output channel). Kept as
-/// the bitwise correctness oracle for the shared-scratch rewrite; see the
-/// `legacy_pinning` tests.
-pub fn deform_conv2d_ref_legacy(
+/// the test-only bitwise correctness oracle for the shared-scratch rewrite;
+/// see the `legacy_pinning` tests.
+#[cfg(test)]
+fn deform_conv2d_ref_legacy(
     x: &Tensor,
     offsets: &Tensor,
     weight: &Tensor,
@@ -725,10 +726,12 @@ pub fn deform_conv2d_v2_ref(
     out
 }
 
-/// Verbatim copy of the pre-restructure [`deform_conv2d_v2_ref`]; bitwise
-/// oracle for the shared-scratch rewrite (see the `legacy_pinning` tests).
+/// Verbatim copy of the pre-restructure [`deform_conv2d_v2_ref`]; test-only
+/// bitwise oracle for the shared-scratch rewrite (see the `legacy_pinning`
+/// tests).
+#[cfg(test)]
 #[allow(clippy::too_many_arguments)]
-pub fn deform_conv2d_v2_ref_legacy(
+fn deform_conv2d_v2_ref_legacy(
     x: &Tensor,
     offsets: &Tensor,
     mask: &Tensor,
@@ -1012,10 +1015,12 @@ pub fn deform_conv2d_v3_ref(
     out
 }
 
-/// Verbatim copy of the pre-restructure [`deform_conv2d_v3_ref`]; bitwise
-/// oracle for the shared-scratch rewrite (see the `legacy_pinning` tests).
+/// Verbatim copy of the pre-restructure [`deform_conv2d_v3_ref`]; test-only
+/// bitwise oracle for the shared-scratch rewrite (see the `legacy_pinning`
+/// tests).
+#[cfg(test)]
 #[allow(clippy::too_many_arguments)]
-pub fn deform_conv2d_v3_ref_legacy(
+fn deform_conv2d_v3_ref_legacy(
     x: &Tensor,
     offsets: &Tensor,
     logits: &Tensor,

@@ -278,3 +278,92 @@ fn fallback_events_fire_iff_a_fault_forced_the_downgrade() {
         }
     }
 }
+
+/// Every serving response is traced exactly once, whichever admission path
+/// produced it: drained from the queue (miss, hit, launch-deadline verdict),
+/// degraded one rung and served inline, terminally shed at the software
+/// floor, or deadline-exceeded by retry backoff alone. One `serve.request`
+/// span per response, in response order; one `serve.deadline` event per
+/// `DeadlineExceeded` response; and the `serve.requests` counter agrees
+/// with the server's own count.
+#[test]
+fn every_serving_response_is_traced_once_whatever_its_path() {
+    use defcon::core::serve::{
+        RequestPolicy, ServeConfig, ServeDevice, ServeOutcome, SimRequest, SimServer,
+    };
+    use defcon::kernels::backend::BackendKind;
+    use defcon::kernels::op::OpFamily;
+    let req = |c: usize, kernel_family: SamplingMethod, deadline_cycles: u64| SimRequest {
+        device: ServeDevice::XavierAgx,
+        layer: DeformLayerShape::same3x3(c, c, 8, 8),
+        kernel_family,
+        op_family: OpFamily::DcnV1,
+        backend: BackendKind::Gpusim,
+        policy: RequestPolicy {
+            max_blocks: 16,
+            deadline_cycles,
+            ..RequestPolicy::default()
+        },
+    };
+    let _obs = obs::arm(ObsConfig::default());
+    let mut server = SimServer::new(ServeConfig {
+        workers: 1,
+        queue_capacity: 4,
+        cache_capacity: 16,
+        ..ServeConfig::default()
+    });
+    // Through the queue: a miss, a one-cycle budget that trips at the
+    // first launch, then the miss repeated (a hit).
+    let mut out = {
+        let _quiet = fault::quiesce();
+        let mut out = server.serve(&[
+            req(4, SamplingMethod::Tex2d, 0),
+            req(2, SamplingMethod::SoftwareBilinear, 1),
+        ]);
+        out.extend(server.serve(&[req(4, SamplingMethod::Tex2d, 0)]));
+        out
+    };
+    // Every admission shed (obs lock first, then fault): a texture request
+    // degrades and is served inline, a software request is terminally
+    // shed, and a one-cycle budget is spent by the first retry backoff.
+    {
+        let _armed = fault::arm(FaultPlan::new(85).point("serve.enqueue", Schedule::Always));
+        out.extend(server.serve(&[
+            req(6, SamplingMethod::Tex2d, 0),
+            req(6, SamplingMethod::SoftwareBilinear, 0),
+            req(6, SamplingMethod::Tex2dPlusPlus, 1),
+        ]));
+    }
+    assert_eq!(out.len(), 6);
+    assert_eq!(out[1].outcome, ServeOutcome::DeadlineExceeded);
+    assert!(out[2].from_cache);
+    assert!(out[3].degraded_admission);
+    assert_eq!(out[3].outcome, ServeOutcome::Served);
+    assert_eq!(out[4].outcome, ServeOutcome::Shed);
+    assert_eq!(out[5].outcome, ServeOutcome::DeadlineExceeded);
+    assert!(out[5]
+        .error
+        .as_deref()
+        .is_some_and(|e| e.contains("serve backoff")));
+
+    let forest = obs::snapshot();
+    let requests = find_spans(&forest, "serve.request");
+    assert_eq!(
+        requests.len(),
+        out.len(),
+        "one serve.request span per response"
+    );
+    for (span, resp) in requests.iter().zip(&out) {
+        assert_eq!(
+            span.str_arg("key"),
+            Some(format!("{:016x}", resp.key).as_str())
+        );
+    }
+    let exceeded = out
+        .iter()
+        .filter(|r| r.outcome == ServeOutcome::DeadlineExceeded)
+        .count();
+    assert_eq!(find_spans(&forest, "serve.deadline").len(), exceeded);
+    assert_eq!(obs::counter("serve.requests"), server.served());
+    assert_eq!(server.served(), out.len() as u64);
+}

@@ -70,8 +70,11 @@ fn numeric_equivalence_across_the_whole_operator_stack() {
 
 #[test]
 fn texture_limits_propagate_to_the_operator() {
-    // Batch × channels beyond the 2048-layer limit must fail loudly
-    // (paper §III-B), not silently mis-simulate.
+    // Batch × channels beyond the 2048-layer limit must never be silently
+    // mis-simulated (paper §III-B): the operator partitions the batch into
+    // launches that each fit the limit, and a single image whose channels
+    // alone exceed it fails loudly.
+    use defcon_support::json::ToJson;
     let gpu = Gpu::new(DeviceConfig::xavier_agx());
     let shape = DeformLayerShape {
         n: 5,
@@ -83,12 +86,40 @@ fn texture_limits_propagate_to_the_operator() {
         method: SamplingMethod::Tex2d,
         ..DeformConvOp::baseline(shape)
     };
+    let reports = op.simulate_deform(&gpu, &x, &offsets);
+    // ⌊2048 / 512⌋ = 4 images fit one texture: launches of 4 + 1 images.
+    assert_eq!(reports.len(), 2, "one launch per texture partition");
+    // The last partition is exactly the single launch of its own image.
+    let last = |t: &Tensor| {
+        let per_image = t.data().len() / shape.n;
+        let mut dims = t.dims().to_vec();
+        dims[0] = 1;
+        Tensor::from_vec(t.data()[(shape.n - 1) * per_image..].to_vec(), &dims)
+    };
+    let single = DeformConvOp {
+        shape: DeformLayerShape { n: 1, ..shape },
+        ..op.clone()
+    };
+    assert_eq!(
+        reports[1].to_json().to_string(),
+        single.simulate_deform(&gpu, &last(&x), &last(&offsets))[0]
+            .to_json()
+            .to_string()
+    );
+
+    // One image's channels cannot be split across launches.
+    let wide = DeformLayerShape::same3x3(2100, 4, 4, 4);
+    let (x, offsets) = synthetic_inputs(&wide, 2.0, 4);
+    let op = DeformConvOp {
+        method: SamplingMethod::Tex2d,
+        ..DeformConvOp::baseline(wide)
+    };
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         op.simulate_deform(&gpu, &x, &offsets)
     }));
     assert!(
         result.is_err(),
-        "exceeding the layered-texture limit must panic"
+        "exceeding the layered-texture limit with one image must panic"
     );
 }
 
