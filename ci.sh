@@ -103,6 +103,11 @@ rm -f "$trace_a" "$trace_b"
 echo "==> cargo check --all-targets --offline (benches + bins compile)"
 cargo check --all-targets --offline
 
+# Clippy with warnings denied over every target (libs, tests, benches,
+# bins, examples): a new lint finding fails CI instead of accumulating.
+echo "==> cargo clippy --workspace --all-targets --offline (warnings denied)"
+cargo clippy --workspace --all-targets --offline -- -D warnings
+
 # Rustdoc with warnings denied: an intra-doc link to a renamed or deleted
 # item (or an ambiguous one) fails the build instead of rotting silently.
 echo "==> cargo doc --no-deps --workspace --offline (warnings denied)"

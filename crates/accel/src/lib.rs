@@ -221,11 +221,13 @@ impl Accel {
 
     /// Renders schedule totals as a launch report.
     fn report(&self, label: String, totals: &Totals) -> KernelReport {
-        let mut counters = defcon_gpusim::Counters::default();
-        counters.flops = 2 * totals.macs + 6 * totals.samples;
-        counters.alu_ops = totals.samples;
-        counters.dram_read_bytes = totals.load_bytes;
-        counters.dram_write_bytes = totals.store_bytes;
+        let counters = defcon_gpusim::Counters {
+            flops: 2 * totals.macs + 6 * totals.samples,
+            alu_ops: totals.samples,
+            dram_read_bytes: totals.load_bytes,
+            dram_write_bytes: totals.store_bytes,
+            ..Default::default()
+        };
         KernelReport {
             device: self.config.name.clone(),
             kernel: label,
@@ -384,7 +386,7 @@ impl Backend for Accel {
     fn execute(&self, op: &DeformConvOp, x: &Tensor, offsets: &Tensor, weight: &Tensor) -> Tensor {
         let s = op.shape;
         let (oh, ow) = s.out_hw();
-        let kernel = Im2colDeformKernel::new_family(
+        let kernel = Im2colDeformKernel::new(
             s,
             op.tile,
             x,
@@ -398,7 +400,7 @@ impl Backend for Accel {
             op.family,
             op.modulation.as_ref(),
         )
-        .expect("unlimited texture layers cannot be exceeded");
+        .expect("execute(): invalid operator configuration");
         let krows = s.c_in * s.kernel * s.kernel;
         let plan = self.plan(op);
         let mut out = Tensor::zeros(&[s.n, s.c_out, oh, ow]);

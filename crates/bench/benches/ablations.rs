@@ -27,9 +27,7 @@ use defcon_models::dataset::{batch_images, DeformedShapesConfig};
 use defcon_support::bench::Bench;
 use defcon_support::env;
 use defcon_support::json::Json;
-use defcon_tensor::sample::{
-    deform_conv2d_ref, deform_conv2d_v2_ref, deform_conv2d_v3_ref, OffsetTransform,
-};
+use defcon_tensor::sample::{deform_conv2d_ref, Modulation, OffsetTransform};
 use defcon_tensor::Tensor;
 
 /// How much the *spread* of learned offsets (which bounding caps) changes
@@ -125,27 +123,20 @@ fn family_row(
 ) -> (Json, [f64; 3], u64, u64) {
     let p = shape.deform_params();
     let modulation = synthetic_modulation(&shape, family, 0xAB1A);
-    let reference = match family {
-        OpFamily::DcnV1 => deform_conv2d_ref(x, offsets, w, None, &p, OffsetTransform::Identity),
-        OpFamily::DcnV2 => deform_conv2d_v2_ref(
-            x,
-            offsets,
-            modulation.as_ref().expect("v2 mask"),
-            w,
-            None,
-            &p,
-            OffsetTransform::Identity,
-        ),
-        OpFamily::DcnV3 => deform_conv2d_v3_ref(
-            x,
-            offsets,
-            modulation.as_ref().expect("v3 logits"),
-            w,
-            None,
-            &p,
-            OffsetTransform::Identity,
-        ),
+    let reference_modulation = match family {
+        OpFamily::DcnV1 => Modulation::None,
+        OpFamily::DcnV2 => Modulation::Mask(modulation.as_ref().expect("v2 mask")),
+        OpFamily::DcnV3 => Modulation::Softmax(modulation.as_ref().expect("v3 logits")),
     };
+    let reference = deform_conv2d_ref(
+        x,
+        offsets,
+        reference_modulation,
+        w,
+        None,
+        &p,
+        OffsetTransform::Identity,
+    );
     let op = |method: SamplingMethod, m: Option<Tensor>| DeformConvOp {
         family,
         method,
@@ -240,15 +231,12 @@ fn table5_family_ablation() -> Json {
     //    softmax arithmetic may hide entirely under memory latency on this
     //    small layer — so it is bounded below, and the *work* ordering is
     //    pinned exactly on the deform-stage flop counters instead;
-    for path in 0..3 {
-        assert!(
-            latencies[0][path] < latencies[1][path],
-            "v2 not slower than v1 on path {path}"
-        );
-        assert!(
-            latencies[1][path] <= latencies[2][path],
-            "v3 cheaper than v2 on path {path}"
-        );
+    let [v1, v2, v3] = &latencies[..] else {
+        unreachable!("one latency row per family")
+    };
+    for (path, ((a, b), c)) in v1.iter().zip(v2).zip(v3).enumerate() {
+        assert!(a < b, "v2 not slower than v1 on path {path}");
+        assert!(b <= c, "v3 cheaper than v2 on path {path}");
     }
     let deform_flops = |family: OpFamily| -> u64 {
         let op = DeformConvOp {

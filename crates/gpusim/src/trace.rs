@@ -156,7 +156,8 @@ pub struct TraceSink<'a> {
 /// `unit` — the shift that replaces `addr * unit / bytes` (or `addr / bytes`
 /// for `unit == 1`) on the hot walk.
 fn pow2_shift(bytes: u64, unit: u64) -> Option<u32> {
-    (bytes % unit == 0 && (bytes / unit).is_power_of_two()).then(|| (bytes / unit).trailing_zeros())
+    (bytes.is_multiple_of(unit) && (bytes / unit).is_power_of_two())
+        .then(|| (bytes / unit).trailing_zeros())
 }
 
 impl<'a> TraceSink<'a> {

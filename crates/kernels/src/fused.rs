@@ -16,11 +16,12 @@
 //! in registers while looping over `(tap, c_in)`, fetching each sample
 //! exactly once.
 
-use crate::im2col::address_map;
+use crate::im2col::{address_map, bind_texture, modulation_addr, offset_addr, tiles_xy};
 use crate::layer::{DeformLayerShape, TileConfig};
-use crate::op::OpFamily;
-use defcon_gpusim::texture::{AddressMode, FilterMode, LayeredTexture2d, TextureLimitError};
+use crate::op::{check_modulation, OpFamily};
+use defcon_gpusim::texture::LayeredTexture2d;
 use defcon_gpusim::trace::{BlockTrace, LaneBuf, TraceSink};
+use defcon_support::error::DefconError;
 use defcon_tensor::sample::OffsetTransform;
 use defcon_tensor::Tensor;
 
@@ -53,8 +54,11 @@ pub struct FusedTexDeformKernel<'a> {
 }
 
 impl<'a> FusedTexDeformKernel<'a> {
-    /// Builds the DCNv1 kernel, binding `x` as a layered texture with
-    /// border addressing and the requested filter precision.
+    /// Builds the kernel for `family`, with an optional borrowed modulation
+    /// tensor (mask / logits), binding `x` as a layered texture with border
+    /// addressing and the requested filter precision. A modulation tensor
+    /// of the wrong shape, or a texture over the limits, is a typed
+    /// constraint error.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         shape: DeformLayerShape,
@@ -65,54 +69,16 @@ impl<'a> FusedTexDeformKernel<'a> {
         frac_bits: u32,
         max_layers: usize,
         max_dim: usize,
-    ) -> Result<Self, TextureLimitError> {
-        Self::new_family(
-            shape,
-            tile,
-            x,
-            offsets,
-            offset_transform,
-            frac_bits,
-            max_layers,
-            max_dim,
-            OpFamily::DcnV1,
-            None,
-        )
-    }
-
-    /// [`FusedTexDeformKernel::new`] generalized over the operator family,
-    /// with an optional borrowed modulation tensor (mask / logits).
-    #[allow(clippy::too_many_arguments)]
-    pub fn new_family(
-        shape: DeformLayerShape,
-        tile: TileConfig,
-        x: &Tensor,
-        offsets: &'a Tensor,
-        offset_transform: OffsetTransform,
-        frac_bits: u32,
-        max_layers: usize,
-        max_dim: usize,
         family: OpFamily,
         modulation: Option<&'a Tensor>,
-    ) -> Result<Self, TextureLimitError> {
-        let (n, c, h, w) = x.shape().nchw();
-        let mut texture = LayeredTexture2d::new(
-            x.data().to_vec(),
-            n * c,
-            h,
-            w,
-            address_map::TEXTURE,
-            max_layers,
-            max_dim,
-        )?;
-        texture.filter_mode = FilterMode::Linear { frac_bits };
-        texture.address_mode = AddressMode::Border;
+    ) -> Result<Self, DefconError> {
+        check_modulation(&shape, family, modulation)?;
         Ok(FusedTexDeformKernel {
             shape,
             tile,
             offsets,
             offset_transform,
-            texture,
+            texture: bind_texture(x, frac_bits, max_layers, max_dim)?,
             frac_bits,
             co_blocks: 1,
             family,
@@ -154,30 +120,11 @@ impl<'a> FusedTexDeformKernel<'a> {
         }
         best.1
     }
-
-    fn tiles_xy(&self) -> (usize, usize) {
-        let (oh, ow) = self.shape.out_hw();
-        (oh.div_ceil(self.tile.h), ow.div_ceil(self.tile.w))
-    }
-
-    #[inline]
-    fn offset_addr(&self, ni: usize, ch: usize, oy: usize, ox: usize) -> u64 {
-        let (oh, ow) = self.shape.out_hw();
-        let oc = self.shape.offset_channels();
-        address_map::OFFSETS + 4 * (((ni * oc + ch) * oh + oy) * ow + ox) as u64
-    }
-
-    #[inline]
-    fn modulation_addr(&self, ni: usize, ch: usize, oy: usize, ox: usize) -> u64 {
-        let (oh, ow) = self.shape.out_hw();
-        let mc = self.shape.deform_groups * self.shape.kernel * self.shape.kernel;
-        address_map::MODULATION + 4 * (((ni * mc + ch) * oh + oy) * ow + ox) as u64
-    }
 }
 
 impl BlockTrace for FusedTexDeformKernel<'_> {
     fn grid_blocks(&self) -> usize {
-        let (ty, tx) = self.tiles_xy();
+        let (ty, tx) = tiles_xy(&self.shape, self.tile);
         self.shape.n * self.co_blocks * ty * tx
     }
 
@@ -197,7 +144,7 @@ impl BlockTrace for FusedTexDeformKernel<'_> {
     fn trace_block(&self, block: usize, sink: &mut TraceSink) {
         let s = self.shape;
         let (oh, ow) = s.out_hw();
-        let (ty_count, tx_count) = self.tiles_xy();
+        let (ty_count, tx_count) = tiles_xy(&s, self.tile);
         let per_n = self.co_blocks * ty_count * tx_count;
         let ni = block / per_n;
         let rem = block % per_n;
@@ -240,12 +187,12 @@ impl BlockTrace for FusedTexDeformKernel<'_> {
                     sink.global_load_into(
                         lanes
                             .iter()
-                            .map(|&(oy, ox)| self.offset_addr(ni, ch, oy, ox)),
+                            .map(|&(oy, ox)| offset_addr(&s, ni, ch, oy, ox)),
                     );
                     sink.global_load_into(
                         lanes
                             .iter()
-                            .map(|&(oy, ox)| self.offset_addr(ni, ch + 1, oy, ox)),
+                            .map(|&(oy, ox)| offset_addr(&s, ni, ch + 1, oy, ox)),
                     );
                     sink.alu(4 * nl);
                     sink.flop(4 * nl); // p = p_o + p_i + Δp
@@ -253,27 +200,13 @@ impl BlockTrace for FusedTexDeformKernel<'_> {
                     // Family-specific modulation traffic, once per
                     // (group, tap) — the factor is shared by every channel
                     // of the group, exactly like the coordinates below.
-                    // Gated on family so v1 stays byte-identical.
-                    match self.family {
-                        OpFamily::DcnV1 => {}
-                        OpFamily::DcnV2 => {
-                            sink.global_load_into(
-                                lanes.iter().map(|&(oy, ox)| {
-                                    self.modulation_addr(ni, g * kk + tap, oy, ox)
-                                }),
-                            );
-                            sink.flop(nl);
-                        }
-                        OpFamily::DcnV3 => {
-                            sink.global_load_into(
-                                lanes.iter().map(|&(oy, ox)| {
-                                    self.modulation_addr(ni, g * kk + tap, oy, ox)
-                                }),
-                            );
-                            sink.flop(3 * nl);
-                            sink.alu(nl);
-                        }
-                    }
+                    self.family.trace_modulation(
+                        sink,
+                        nl,
+                        lanes
+                            .iter()
+                            .map(|&(oy, ox)| modulation_addr(&s, ni, g * kk + tap, oy, ox)),
+                    );
 
                     let (ki, kj) = (tap / s.kernel, tap % s.kernel);
                     // Every channel of this deformable group samples at the
@@ -360,6 +293,8 @@ mod tests {
             frac_bits,
             2048,
             32768,
+            OpFamily::DcnV1,
+            None,
         )
         .unwrap()
     }

@@ -9,10 +9,11 @@
 //! filter.
 
 use crate::layer::{DeformLayerShape, TileConfig};
-use crate::op::OpFamily;
-use defcon_gpusim::texture::LayeredTexture2d;
+use crate::op::{check_modulation, OpFamily};
+use defcon_gpusim::texture::{AddressMode, FilterMode, LayeredTexture2d};
 use defcon_gpusim::trace::{BlockTrace, LaneBuf, TraceSink};
-use defcon_tensor::sample::{tap_softmax, OffsetTransform};
+use defcon_support::error::DefconError;
+use defcon_tensor::sample::{Modulation, OffsetTransform};
 use defcon_tensor::Tensor;
 
 /// Simulated address-space bases (one region per buffer, far apart so cache
@@ -77,9 +78,76 @@ pub struct Im2colDeformKernel<'a> {
     pub modulation: Option<&'a Tensor>,
 }
 
+/// Output tiles along `(y, x)` covering the output plane of `shape`.
+pub(crate) fn tiles_xy(shape: &DeformLayerShape, tile: TileConfig) -> (usize, usize) {
+    let (oh, ow) = shape.out_hw();
+    (oh.div_ceil(tile.h), ow.div_ceil(tile.w))
+}
+
+/// Simulated address of offset channel `ch` at output `(oy, ox)` of batch
+/// item `ni`.
+#[inline]
+pub(crate) fn offset_addr(
+    shape: &DeformLayerShape,
+    ni: usize,
+    ch: usize,
+    oy: usize,
+    ox: usize,
+) -> u64 {
+    let (oh, ow) = shape.out_hw();
+    let oc = shape.offset_channels();
+    address_map::OFFSETS + 4 * (((ni * oc + ch) * oh + oy) * ow + ox) as u64
+}
+
+/// Simulated address of modulation channel `ch` (`g·k² + tap`) at output
+/// `(oy, ox)` of batch item `ni`.
+#[inline]
+pub(crate) fn modulation_addr(
+    shape: &DeformLayerShape,
+    ni: usize,
+    ch: usize,
+    oy: usize,
+    ox: usize,
+) -> u64 {
+    let (oh, ow) = shape.out_hw();
+    let mc = shape.deform_groups * shape.kernel * shape.kernel;
+    address_map::MODULATION + 4 * (((ni * mc + ch) * oh + oy) * ow + ox) as u64
+}
+
+/// Binds `x` as a layered texture with border addressing and the requested
+/// filter precision — the texture setup every texture kernel shares.
+/// Limit failures come back as typed `texture-limit` constraints.
+pub(crate) fn bind_texture(
+    x: &Tensor,
+    frac_bits: u32,
+    max_layers: usize,
+    max_dim: usize,
+) -> Result<LayeredTexture2d, DefconError> {
+    let (n, c, h, w) = x.shape().nchw();
+    let mut t = LayeredTexture2d::new(
+        x.data().to_vec(),
+        n * c,
+        h,
+        w,
+        address_map::TEXTURE,
+        max_layers,
+        max_dim,
+    )
+    .map_err(|e| DefconError::Constraint {
+        what: "texture-limit".into(),
+        detail: e.message,
+    })?;
+    t.filter_mode = FilterMode::Linear { frac_bits };
+    t.address_mode = AddressMode::Border;
+    Ok(t)
+}
+
 impl<'a> Im2colDeformKernel<'a> {
-    /// Builds the DCNv1 kernel, constructing the layered texture when
+    /// Builds the kernel for `family`, with an optional borrowed modulation
+    /// tensor (mask / logits), constructing the layered texture when
     /// needed. `max_layers` / `max_dim` are the device texture limits.
+    /// A modulation tensor of the wrong shape, or a texture over the
+    /// limits, is a typed constraint error.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         shape: DeformLayerShape,
@@ -90,52 +158,14 @@ impl<'a> Im2colDeformKernel<'a> {
         sampling: Sampling,
         max_layers: usize,
         max_dim: usize,
-    ) -> Result<Self, defcon_gpusim::texture::TextureLimitError> {
-        Self::new_family(
-            shape,
-            tile,
-            x,
-            offsets,
-            offset_transform,
-            sampling,
-            max_layers,
-            max_dim,
-            OpFamily::DcnV1,
-            None,
-        )
-    }
-
-    /// [`Im2colDeformKernel::new`] generalized over the operator family,
-    /// with an optional borrowed modulation tensor (mask / logits).
-    #[allow(clippy::too_many_arguments)]
-    pub fn new_family(
-        shape: DeformLayerShape,
-        tile: TileConfig,
-        x: &'a Tensor,
-        offsets: &'a Tensor,
-        offset_transform: OffsetTransform,
-        sampling: Sampling,
-        max_layers: usize,
-        max_dim: usize,
         family: OpFamily,
         modulation: Option<&'a Tensor>,
-    ) -> Result<Self, defcon_gpusim::texture::TextureLimitError> {
+    ) -> Result<Self, DefconError> {
+        check_modulation(&shape, family, modulation)?;
         let texture = match sampling {
             Sampling::Software => None,
             Sampling::Texture { frac_bits } => {
-                let (n, c, h, w) = x.shape().nchw();
-                let mut t = LayeredTexture2d::new(
-                    x.data().to_vec(),
-                    n * c,
-                    h,
-                    w,
-                    address_map::TEXTURE,
-                    max_layers,
-                    max_dim,
-                )?;
-                t.filter_mode = defcon_gpusim::texture::FilterMode::Linear { frac_bits };
-                t.address_mode = defcon_gpusim::texture::AddressMode::Border;
-                Some(t)
+                Some(bind_texture(x, frac_bits, max_layers, max_dim)?)
             }
         };
         Ok(Im2colDeformKernel {
@@ -151,22 +181,10 @@ impl<'a> Im2colDeformKernel<'a> {
         })
     }
 
-    fn tiles_xy(&self) -> (usize, usize) {
-        let (oh, ow) = self.shape.out_hw();
-        (oh.div_ceil(self.tile.h), ow.div_ceil(self.tile.w))
-    }
-
     #[inline]
     fn input_addr(&self, ni: usize, ci: usize, y: usize, x: usize) -> u64 {
         let s = self.shape;
         address_map::INPUT + 4 * (((ni * s.c_in + ci) * s.h + y) * s.w + x) as u64
-    }
-
-    #[inline]
-    fn offset_addr(&self, ni: usize, ch: usize, oy: usize, ox: usize) -> u64 {
-        let (oh, ow) = self.shape.out_hw();
-        let oc = self.shape.offset_channels();
-        address_map::OFFSETS + 4 * (((ni * oc + ch) * oh + oy) * ow + ox) as u64
     }
 
     #[inline]
@@ -176,32 +194,29 @@ impl<'a> Im2colDeformKernel<'a> {
         address_map::COLUMNS + 4 * ((ni * rows + row) * oh * ow + col) as u64
     }
 
-    #[inline]
-    fn modulation_addr(&self, ni: usize, ch: usize, oy: usize, ox: usize) -> u64 {
-        let (oh, ow) = self.shape.out_hw();
-        let mc = self.shape.deform_groups * self.shape.kernel * self.shape.kernel;
-        address_map::MODULATION + 4 * (((ni * mc + ch) * oh + oy) * ow + ox) as u64
+    /// Writes the numeric modulation factors of deformable group `g` at
+    /// output `(oy, ox)` into `out` (one per tap) through the reference's
+    /// [`Modulation::group_factors`]. The neutral elements: `1` for v1 and
+    /// for v2 without a mask; `fl(1/k²)` for v3 without logits — exactly
+    /// what [`tap_softmax`](defcon_tensor::sample::tap_softmax) yields for
+    /// constant logits, so the None/constant reduction is byte-exact.
+    fn group_factors(&self, ni: usize, g: usize, oy: usize, ox: usize, out: &mut [f32]) {
+        let modulation = match (self.family, self.modulation) {
+            (OpFamily::DcnV1, _) | (OpFamily::DcnV2, None) => Modulation::None,
+            (OpFamily::DcnV2, Some(mask)) => Modulation::Mask(mask),
+            (OpFamily::DcnV3, Some(logits)) => Modulation::Softmax(logits),
+            (OpFamily::DcnV3, None) => return out.fill((1.0f64 / out.len() as f64) as f32),
+        };
+        modulation.group_factors(ni, g, oy, ox, out);
     }
 
-    /// The numeric per-tap modulation factor: `1` for v1, the mask value
-    /// for v2 (1 when `modulation` is `None`), and the grouped softmax
-    /// weight of the tap for v3 (`fl(1/k²)` when `None` — exactly what
-    /// [`tap_softmax`] yields for constant logits, so the None/constant
-    /// reduction is byte-exact).
+    /// The numeric modulation factor of one tap: `1` for v1, the mask
+    /// value for v2, the grouped softmax weight for v3 (see
+    /// `group_factors` for the neutral elements).
     pub fn modulation_factor(&self, ni: usize, g: usize, tap: usize, oy: usize, ox: usize) -> f32 {
-        let kk = self.shape.kernel * self.shape.kernel;
-        match (self.family, self.modulation) {
-            (OpFamily::DcnV1, _) => 1.0,
-            (OpFamily::DcnV2, None) => 1.0,
-            (OpFamily::DcnV2, Some(m)) => m.at4(ni, g * kk + tap, oy, ox),
-            (OpFamily::DcnV3, None) => (1.0f64 / kk as f64) as f32,
-            (OpFamily::DcnV3, Some(logits)) => {
-                let group: Vec<f32> = (0..kk)
-                    .map(|t| logits.at4(ni, g * kk + t, oy, ox))
-                    .collect();
-                tap_softmax(&group)[tap] as f32
-            }
-        }
+        let mut factors = vec![0.0f32; self.shape.kernel * self.shape.kernel];
+        self.group_factors(ni, g, oy, ox, &mut factors);
+        factors[tap]
     }
 
     /// The sampling coordinate of `tap` at output `(oy, ox)` for deformable
@@ -225,7 +240,7 @@ impl<'a> Im2colDeformKernel<'a> {
 
 impl BlockTrace for Im2colDeformKernel<'_> {
     fn grid_blocks(&self) -> usize {
-        let (ty, tx) = self.tiles_xy();
+        let (ty, tx) = tiles_xy(&self.shape, self.tile);
         self.shape.n * self.shape.c_in * ty * tx
     }
 
@@ -245,7 +260,7 @@ impl BlockTrace for Im2colDeformKernel<'_> {
     fn trace_block(&self, block: usize, sink: &mut TraceSink) {
         let s = self.shape;
         let (oh, ow) = s.out_hw();
-        let (ty_count, tx_count) = self.tiles_xy();
+        let (ty_count, tx_count) = tiles_xy(&s, self.tile);
         let blocks_per_channel = ty_count * tx_count;
         let ci = (block / blocks_per_channel) % s.c_in;
         let ni = block / (s.c_in * blocks_per_channel);
@@ -281,48 +296,27 @@ impl BlockTrace for Im2colDeformKernel<'_> {
                 sink.global_load_into(
                     lanes
                         .iter()
-                        .map(|&(oy, ox)| self.offset_addr(ni, ch, oy, ox)),
+                        .map(|&(oy, ox)| offset_addr(&s, ni, ch, oy, ox)),
                 );
                 sink.global_load_into(
                     lanes
                         .iter()
-                        .map(|&(oy, ox)| self.offset_addr(ni, ch + 1, oy, ox)),
+                        .map(|&(oy, ox)| offset_addr(&s, ni, ch + 1, oy, ox)),
                 );
                 // Address arithmetic for the sampling position.
                 sink.alu(4 * nl);
                 sink.flop(4 * nl); // p = p_o + p_i + Δp (fp adds, x and y)
 
-                // Family-specific modulation traffic and arithmetic. Gated
+                // Family-specific modulation traffic and arithmetic, gated
                 // on the family (not on `modulation` being present) so a
-                // served request without a tensor still traces honestly;
-                // `DcnV1` emits nothing and stays byte-identical to the
-                // pre-family kernel.
-                match self.family {
-                    OpFamily::DcnV1 => {}
-                    OpFamily::DcnV2 => {
-                        // One coalesced mask load per (group, tap) and the
-                        // per-lane modulation multiply.
-                        sink.global_load_into(
-                            lanes
-                                .iter()
-                                .map(|&(oy, ox)| self.modulation_addr(ni, g * kk + tap, oy, ox)),
-                        );
-                        sink.flop(nl);
-                    }
-                    OpFamily::DcnV3 => {
-                        // Logit load plus the tap's share of the grouped
-                        // softmax: exp, normalizing accumulate, weighted
-                        // multiply (≈3 flops/lane) and the max-subtract
-                        // bookkeeping.
-                        sink.global_load_into(
-                            lanes
-                                .iter()
-                                .map(|&(oy, ox)| self.modulation_addr(ni, g * kk + tap, oy, ox)),
-                        );
-                        sink.flop(3 * nl);
-                        sink.alu(nl);
-                    }
-                }
+                // served request without a tensor still traces honestly.
+                self.family.trace_modulation(
+                    sink,
+                    nl,
+                    lanes
+                        .iter()
+                        .map(|&(oy, ox)| modulation_addr(&s, ni, g * kk + tap, oy, ox)),
+                );
 
                 match self.sampling {
                     Sampling::Software => {
@@ -385,61 +379,22 @@ impl BlockTrace for Im2colDeformKernel<'_> {
     }
 }
 
-/// Numeric companion of [`Im2colDeformKernel`]: materializes the column
-/// matrix `[C_in·k², outH·outW]` for batch item `ni`, using exactly the same
-/// sampling semantics as the trace (including texture filter precision).
-///
-/// For v2/v3 each column value is pre-multiplied by the tap's modulation
-/// factor (mask / grouped-softmax weight), so the GEMM epilogue is family
-/// agnostic. A v2 all-ones mask multiplies by exactly `1.0` and therefore
-/// reproduces the v1 columns byte-for-byte.
-pub fn im2col_deform_numeric(kernel: &Im2colDeformKernel<'_>, ni: usize) -> Vec<f32> {
-    let s = kernel.shape;
-    let (oh, ow) = s.out_hw();
-    let kk = s.kernel * s.kernel;
-    let neutral = kernel.family == OpFamily::DcnV1;
-    let mut cols = vec![0.0f32; s.c_in * kk * oh * ow];
-    for ci in 0..s.c_in {
-        let g = ci / (s.c_in / s.deform_groups);
-        for tap in 0..kk {
-            let row = ci * kk + tap;
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let (py, px) = kernel.sample_coord(ni, g, tap, oy, ox);
-                    let v = match (&kernel.sampling, &kernel.texture) {
-                        (Sampling::Software, _) => {
-                            defcon_tensor::sample::bilinear_sample(kernel.x, ni, ci, py, px)
-                        }
-                        (Sampling::Texture { .. }, Some(tex)) => {
-                            tex.fetch(ni * s.c_in + ci, py, px).value
-                        }
-                        _ => unreachable!("texture sampling without texture"),
-                    };
-                    let v = if neutral {
-                        v
-                    } else {
-                        kernel.modulation_factor(ni, g, tap, oy, ox) * v
-                    };
-                    cols[row * oh * ow + oy * ow + ox] = v;
-                }
-            }
-        }
-    }
-    cols
-}
-
-/// Tiled form of [`im2col_deform_numeric`]: materializes only the columns
+/// Numeric companion of [`Im2colDeformKernel`]: materializes the columns
 /// of the output window `[oy0, oy0+th) × [ox0, ox0+tw)` for batch item
 /// `ni`, as a `[C_in·k², th·tw]` row-major matrix (window-local column
-/// index `ty·tw + tx`).
+/// index `ty·tw + tx`), using exactly the same sampling semantics as the
+/// trace (including texture filter precision). The full output plane is
+/// the window `(0, 0, outH, outW)`.
 ///
-/// Every element is computed by **exactly** the per-element pipeline of
-/// the full-plane function — same `sample_coord`, same sampler, same
-/// modulation factor, same v1 neutral-skip — so a GEMM over a tile's
-/// columns produces byte-identical output values to the corresponding
-/// columns of a full-plane GEMM (the blocked GEMM's per-element reduction
-/// order is independent of which columns are present; see
-/// `defcon_tensor::gemm`). This is the accel backend's tile kernel.
+/// Each column value is pre-multiplied by the tap's modulation factor
+/// (`1`, mask, or grouped-softmax weight), so the GEMM epilogue is family
+/// agnostic; `1.0 · v` is exact, so v1 and a v2 all-ones mask produce the
+/// same bytes. Every element's value is independent of the window, so a
+/// GEMM over a tile's columns produces byte-identical output values to
+/// the corresponding columns of a full-plane GEMM (the blocked GEMM's
+/// per-element reduction order is independent of which columns are
+/// present; see `defcon_tensor::gemm`). This is also the accel backend's
+/// tile kernel.
 pub fn im2col_deform_numeric_tile(
     kernel: &Im2colDeformKernel<'_>,
     ni: usize,
@@ -450,8 +405,15 @@ pub fn im2col_deform_numeric_tile(
 ) -> Vec<f32> {
     let s = kernel.shape;
     let kk = s.kernel * s.kernel;
-    let neutral = kernel.family == OpFamily::DcnV1;
-    let mut cols = vec![0.0f32; s.c_in * kk * th * tw];
+    let pixels = th * tw;
+    // Factors per (group, window pixel, tap): shared by every channel of
+    // the group, so filled once per group rather than once per channel.
+    let mut factors = vec![0.0f32; s.deform_groups * pixels * kk];
+    for (gp, out) in factors.chunks_exact_mut(kk).enumerate() {
+        let (g, px) = (gp / pixels, gp % pixels);
+        kernel.group_factors(ni, g, oy0 + px / tw, ox0 + px % tw, out);
+    }
+    let mut cols = vec![0.0f32; s.c_in * kk * pixels];
     for ci in 0..s.c_in {
         let g = ci / (s.c_in / s.deform_groups);
         for tap in 0..kk {
@@ -470,12 +432,8 @@ pub fn im2col_deform_numeric_tile(
                         }
                         _ => unreachable!("texture sampling without texture"),
                     };
-                    let v = if neutral {
-                        v
-                    } else {
-                        kernel.modulation_factor(ni, g, tap, oy, ox) * v
-                    };
-                    cols[row * th * tw + ty * tw + tx] = v;
+                    let m = factors[(g * pixels + ty * tw + tx) * kk + tap];
+                    cols[row * pixels + ty * tw + tx] = m * v;
                 }
             }
         }
@@ -488,28 +446,55 @@ mod tests {
     use super::*;
     use defcon_gpusim::{DeviceConfig, Gpu};
 
-    fn small_kernel(sampling: Sampling) -> (Tensor, Tensor, DeformLayerShape) {
-        let shape = DeformLayerShape::same3x3(4, 4, 12, 12);
+    /// A 4-channel 12×12 layer's input and offsets in `[-2, 2]`.
+    fn small_inputs() -> (Tensor, Tensor) {
         let x = Tensor::randn(&[1, 4, 12, 12], 0.0, 1.0, 100);
         let offsets = Tensor::rand_uniform(&[1, 18, 12, 12], -2.0, 2.0, 101);
-        let _ = sampling;
-        (x, offsets, shape)
+        (x, offsets)
+    }
+
+    /// A kernel over the small layer with 16×16 tiles.
+    fn kernel<'a>(
+        x: &'a Tensor,
+        off: &'a Tensor,
+        transform: OffsetTransform,
+        sampling: Sampling,
+        family: OpFamily,
+        modulation: Option<&'a Tensor>,
+    ) -> Im2colDeformKernel<'a> {
+        let shape = DeformLayerShape::same3x3(4, 4, 12, 12);
+        let tile = TileConfig::default16();
+        Im2colDeformKernel::new(
+            shape, tile, x, off, transform, sampling, 2048, 32768, family, modulation,
+        )
+        .unwrap()
+    }
+
+    /// The DCNv1 kernel with identity offsets.
+    fn v1_kernel<'a>(x: &'a Tensor, off: &'a Tensor, sampling: Sampling) -> Im2colDeformKernel<'a> {
+        kernel(
+            x,
+            off,
+            OffsetTransform::Identity,
+            sampling,
+            OpFamily::DcnV1,
+            None,
+        )
+    }
+
+    /// The full output plane's columns for batch item 0.
+    fn columns(k: &Im2colDeformKernel<'_>) -> Vec<f32> {
+        let (oh, ow) = k.shape.out_hw();
+        im2col_deform_numeric_tile(k, 0, 0, 0, oh, ow)
     }
 
     #[test]
     fn grid_covers_output() {
-        let (x, off, shape) = small_kernel(Sampling::Software);
-        let k = Im2colDeformKernel::new(
-            shape,
-            TileConfig { h: 8, w: 8 },
-            &x,
-            &off,
-            OffsetTransform::Identity,
-            Sampling::Software,
-            2048,
-            32768,
-        )
-        .unwrap();
+        let (x, off) = small_inputs();
+        let k = Im2colDeformKernel {
+            tile: TileConfig { h: 8, w: 8 },
+            ..v1_kernel(&x, &off, Sampling::Software)
+        };
         // 12x12 output with 8x8 tiles -> 2x2 tiles per channel, 4 channels.
         assert_eq!(k.grid_blocks(), 16);
         assert_eq!(k.block_threads(), 64);
@@ -517,21 +502,11 @@ mod tests {
 
     #[test]
     fn numeric_software_matches_reference_columns() {
-        let (x, off, shape) = small_kernel(Sampling::Software);
-        let k = Im2colDeformKernel::new(
-            shape,
-            TileConfig::default16(),
-            &x,
-            &off,
-            OffsetTransform::Identity,
-            Sampling::Software,
-            2048,
-            32768,
-        )
-        .unwrap();
-        let cols = im2col_deform_numeric(&k, 0);
+        let (x, off) = small_inputs();
+        let k = v1_kernel(&x, &off, Sampling::Software);
+        let cols = columns(&k);
         // Spot-check one element against the reference bilinear sampler.
-        let (oh, ow) = shape.out_hw();
+        let (oh, ow) = k.shape.out_hw();
         let (ci, tap, oy, ox) = (2usize, 4usize, 5usize, 7usize);
         let (py, px) = k.sample_coord(0, 0, tap, oy, ox);
         let expect = defcon_tensor::sample::bilinear_sample(&x, 0, ci, py, px);
@@ -539,25 +514,34 @@ mod tests {
     }
 
     #[test]
-    fn texture_numeric_matches_software_at_full_precision() {
-        let (x, off, shape) = small_kernel(Sampling::Software);
-        let mk = |sampling| {
-            Im2colDeformKernel::new(
-                shape,
-                TileConfig::default16(),
+    fn modulation_factor_keeps_the_neutral_elements() {
+        let (x, off) = small_inputs();
+        let mask = Tensor::rand_uniform(&[1, 9, 12, 12], 0.05, 0.95, 102);
+        let logits = Tensor::full(&[1, 9, 12, 12], -0.625);
+        let factor = |family, modulation| {
+            let k = kernel(
                 &x,
                 &off,
                 OffsetTransform::Identity,
-                sampling,
-                2048,
-                32768,
-            )
-            .unwrap()
+                Sampling::Software,
+                family,
+                modulation,
+            );
+            k.modulation_factor(0, 0, 4, 3, 5)
         };
-        let sw = mk(Sampling::Software);
-        let tx = mk(Sampling::Texture { frac_bits: 23 });
-        let a = im2col_deform_numeric(&sw, 0);
-        let b = im2col_deform_numeric(&tx, 0);
+        let uniform = (1.0f64 / 9.0) as f32;
+        assert_eq!(factor(OpFamily::DcnV1, Some(&mask)), 1.0);
+        assert_eq!(factor(OpFamily::DcnV2, None), 1.0);
+        assert_eq!(factor(OpFamily::DcnV2, Some(&mask)), mask.at4(0, 4, 3, 5));
+        assert_eq!(factor(OpFamily::DcnV3, None), uniform);
+        assert_eq!(factor(OpFamily::DcnV3, Some(&logits)), uniform);
+    }
+
+    #[test]
+    fn texture_numeric_matches_software_at_full_precision() {
+        let (x, off) = small_inputs();
+        let a = columns(&v1_kernel(&x, &off, Sampling::Software));
+        let b = columns(&v1_kernel(&x, &off, Sampling::Texture { frac_bits: 23 }));
         for (i, (x, y)) in a.iter().zip(b.iter()).enumerate() {
             assert!((x - y).abs() < 1e-5, "col[{i}]: {x} vs {y}");
         }
@@ -565,24 +549,9 @@ mod tests {
 
     #[test]
     fn tex2dpp_numeric_error_is_small() {
-        let (x, off, shape) = small_kernel(Sampling::Software);
-        let mk = |sampling| {
-            Im2colDeformKernel::new(
-                shape,
-                TileConfig::default16(),
-                &x,
-                &off,
-                OffsetTransform::Identity,
-                sampling,
-                2048,
-                32768,
-            )
-            .unwrap()
-        };
-        let sw = mk(Sampling::Software);
-        let pp = mk(Sampling::Texture { frac_bits: 8 });
-        let a = im2col_deform_numeric(&sw, 0);
-        let b = im2col_deform_numeric(&pp, 0);
+        let (x, off) = small_inputs();
+        let a = columns(&v1_kernel(&x, &off, Sampling::Software));
+        let b = columns(&v1_kernel(&x, &off, Sampling::Texture { frac_bits: 8 }));
         let max_err = a
             .iter()
             .zip(b.iter())
@@ -594,23 +563,10 @@ mod tests {
 
     #[test]
     fn software_kernel_produces_global_loads_texture_kernel_does_not_sample_input_globally() {
-        let (x, off, shape) = small_kernel(Sampling::Software);
+        let (x, off) = small_inputs();
         let gpu = Gpu::new(DeviceConfig::xavier_agx());
-        let mk = |sampling| {
-            Im2colDeformKernel::new(
-                shape,
-                TileConfig::default16(),
-                &x,
-                &off,
-                OffsetTransform::Identity,
-                sampling,
-                2048,
-                32768,
-            )
-            .unwrap()
-        };
-        let sw_report = gpu.launch(&mk(Sampling::Software));
-        let tx_report = gpu.launch(&mk(Sampling::Texture { frac_bits: 23 }));
+        let sw_report = gpu.launch(&v1_kernel(&x, &off, Sampling::Software));
+        let tx_report = gpu.launch(&v1_kernel(&x, &off, Sampling::Texture { frac_bits: 23 }));
         assert!(sw_report.counters.tex_requests == 0);
         assert!(tx_report.counters.tex_requests > 0);
         // Texture kernel still loads offsets from global memory, but far
@@ -622,23 +578,11 @@ mod tests {
 
     #[test]
     fn bounded_offsets_do_not_change_in_range_numerics() {
-        let (x, off, shape) = small_kernel(Sampling::Software);
-        let mk = |tr| {
-            Im2colDeformKernel::new(
-                shape,
-                TileConfig::default16(),
-                &x,
-                &off,
-                tr,
-                Sampling::Software,
-                2048,
-                32768,
-            )
-            .unwrap()
-        };
+        let (x, off) = small_inputs();
+        let mk = |tr| kernel(&x, &off, tr, Sampling::Software, OpFamily::DcnV1, None);
         // Offsets are within [-2, 2]; bounding at 7 is a no-op.
-        let a = im2col_deform_numeric(&mk(OffsetTransform::Identity), 0);
-        let b = im2col_deform_numeric(&mk(OffsetTransform::Bounded(7.0)), 0);
+        let a = columns(&mk(OffsetTransform::Identity));
+        let b = columns(&mk(OffsetTransform::Bounded(7.0)));
         assert_eq!(a, b);
     }
 }

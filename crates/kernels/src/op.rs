@@ -10,9 +10,9 @@
 //! heap. `tests/zero_alloc.rs` pins that contract for each family.
 
 use crate::gemm_kernel::{DepthwiseConvKernel, GemmKernel, RegularConvKernel};
-use crate::im2col::{im2col_deform_numeric, Im2colDeformKernel, Sampling};
+use crate::im2col::{im2col_deform_numeric_tile, Im2colDeformKernel, Sampling};
 use crate::layer::{DeformLayerShape, TileConfig};
-use defcon_gpusim::texture::TextureLimitError;
+use defcon_gpusim::trace::TraceSink;
 use defcon_gpusim::{Gpu, KernelReport};
 use defcon_support::error::DefconError;
 use defcon_support::json::Json;
@@ -20,12 +20,27 @@ use defcon_support::obs;
 use defcon_tensor::sample::OffsetTransform;
 use defcon_tensor::{gemm, Tensor};
 
-/// Maps a texture-setup failure to the typed constraint error the
-/// degradation layer dispatches on.
-fn texture_constraint(e: TextureLimitError) -> DefconError {
-    DefconError::Constraint {
-        what: "texture-limit".into(),
-        detail: e.message,
+/// Checks that a modulation tensor `family` reads is `[N, G·k², outH,
+/// outW]` for `shape`, as a typed `modulation-shape` constraint. v1 reads
+/// no modulation, so any tensor passes.
+pub(crate) fn check_modulation(
+    shape: &DeformLayerShape,
+    family: OpFamily,
+    modulation: Option<&Tensor>,
+) -> Result<(), DefconError> {
+    let channels = family.modulation_channels(shape);
+    let (oh, ow) = shape.out_hw();
+    let expected = [shape.n, channels, oh, ow];
+    match modulation {
+        Some(m) if channels > 0 && m.dims() != expected => Err(DefconError::Constraint {
+            what: "modulation-shape".into(),
+            detail: format!(
+                "{} modulation must be [N, G*k*k, outH, outW] = {expected:?}, got {:?}",
+                family.name(),
+                m.dims()
+            ),
+        }),
+        _ => Ok(()),
     }
 }
 
@@ -138,6 +153,29 @@ impl OpFamily {
             OpFamily::DcnV2 | OpFamily::DcnV3 => shape.deform_groups * shape.kernel * shape.kernel,
         }
     }
+
+    /// Traces this family's modulation cost for one (group, tap) of a warp
+    /// of `lanes` threads — the single definition both deform kernels
+    /// emit: one coalesced load of the tap's mask/logit at `addrs`, then
+    /// per lane the v2 modulation multiply (1 flop), or the v3 tap's share
+    /// of the grouped softmax (exp, normalizing accumulate and weighted
+    /// multiply ≈ 3 flops, plus 1 ALU op of max-subtract bookkeeping). v1
+    /// emits nothing, so its traces are those of the pre-family kernels.
+    pub fn trace_modulation(
+        &self,
+        sink: &mut TraceSink,
+        lanes: u64,
+        addrs: impl IntoIterator<Item = u64>,
+    ) {
+        let (flops, alu) = match self {
+            OpFamily::DcnV1 => return,
+            OpFamily::DcnV2 => (1, 0),
+            OpFamily::DcnV3 => (3, 1),
+        };
+        sink.global_load_into(addrs);
+        sink.flop(flops * lanes);
+        sink.alu(alu * lanes);
+    }
 }
 
 /// Which offset-predicting convolution precedes the deformable kernel.
@@ -195,11 +233,15 @@ impl DeformConvOp {
     /// For `SoftwareBilinear` and `Tex2d` this is exactly
     /// `deform_conv2d_ref`; for `Tex2dPlusPlus` it reflects the reduced
     /// filter precision.
+    ///
+    /// Panics on a modulation tensor that is not `[N, G·k², outH, outW]`
+    /// and when a texture method's input exceeds the device's texture
+    /// limits (numeric execution does not partition the batch).
     pub fn execute(&self, x: &Tensor, offsets: &Tensor, weight: &Tensor, gpu: &Gpu) -> Tensor {
         let s = self.shape;
         let (oh, ow) = s.out_hw();
         let cfg = gpu.config();
-        let kernel = Im2colDeformKernel::new_family(
+        let kernel = Im2colDeformKernel::new(
             s,
             self.tile,
             x,
@@ -211,12 +253,12 @@ impl DeformConvOp {
             self.family,
             self.modulation.as_ref(),
         )
-        .expect("texture limits exceeded");
+        .expect("execute(): invalid operator configuration");
         let krows = s.c_in * s.kernel * s.kernel;
         let cols_n = oh * ow;
         let mut out = Tensor::zeros(&[s.n, s.c_out, oh, ow]);
         for ni in 0..s.n {
-            let cols = im2col_deform_numeric(&kernel, ni);
+            let cols = im2col_deform_numeric_tile(&kernel, ni, 0, 0, oh, ow);
             let dst = &mut out.data_mut()[ni * s.c_out * cols_n..(ni + 1) * s.c_out * cols_n];
             gemm::gemm(weight.data(), &cols, dst, s.c_out, krows, cols_n);
         }
@@ -247,7 +289,8 @@ impl DeformConvOp {
     /// "results in the overhead associated with multiple invocations of the
     /// GPU kernel". A batch that fits is one partition — one launch, exactly
     /// as unpartitioned. Texture-limit failures, including a *single*
-    /// image's channels exceeding the layer limit, come back as typed
+    /// image's channels exceeding the layer limit, and a modulation tensor
+    /// that is not `[N, G·k², outH, outW]` come back as typed
     /// [`DefconError::Constraint`]s.
     pub fn try_simulate_deform(
         &self,
@@ -255,8 +298,9 @@ impl DeformConvOp {
         x: &Tensor,
         offsets: &Tensor,
     ) -> Result<Vec<KernelReport>, DefconError> {
-        let max_layers = gpu.config().max_texture_layers;
         let s = self.shape;
+        check_modulation(&s, self.family, self.modulation.as_ref())?;
+        let max_layers = gpu.config().max_texture_layers;
         if self.method == SamplingMethod::SoftwareBilinear || s.n * s.c_in <= max_layers {
             return self.launch_deform(gpu, x, offsets);
         }
@@ -311,7 +355,7 @@ impl DeformConvOp {
         let cfg = gpu.config();
         match self.method {
             SamplingMethod::SoftwareBilinear => {
-                let im2col = Im2colDeformKernel::new_family(
+                let im2col = Im2colDeformKernel::new(
                     self.shape,
                     self.tile,
                     x,
@@ -322,8 +366,7 @@ impl DeformConvOp {
                     cfg.max_texture_dim,
                     self.family,
                     self.modulation.as_ref(),
-                )
-                .map_err(texture_constraint)?;
+                )?;
                 let gemm_stage = GemmKernel::for_conv(&self.shape);
                 Ok(vec![gpu.try_launch(&im2col)?, gpu.try_launch(&gemm_stage)?])
             }
@@ -332,7 +375,7 @@ impl DeformConvOp {
                     Sampling::Texture { frac_bits } => frac_bits,
                     Sampling::Software => unreachable!(),
                 };
-                let mut fused = crate::fused::FusedTexDeformKernel::new_family(
+                let mut fused = crate::fused::FusedTexDeformKernel::new(
                     self.shape,
                     self.tile,
                     x,
@@ -343,8 +386,7 @@ impl DeformConvOp {
                     cfg.max_texture_dim,
                     self.family,
                     self.modulation.as_ref(),
-                )
-                .map_err(texture_constraint)?;
+                )?;
                 fused.co_blocks =
                     crate::fused::FusedTexDeformKernel::pick_co_blocks(&self.shape, self.tile, cfg);
                 Ok(vec![gpu.try_launch(&fused)?])
@@ -459,7 +501,7 @@ pub fn synthetic_modulation(
 mod tests {
     use super::*;
     use defcon_gpusim::DeviceConfig;
-    use defcon_tensor::sample::deform_conv2d_ref;
+    use defcon_tensor::sample::{deform_conv2d_ref, Modulation};
 
     fn small() -> (DeformLayerShape, Tensor, Tensor, Tensor) {
         let shape = DeformLayerShape::same3x3(4, 6, 10, 10);
@@ -477,6 +519,7 @@ mod tests {
         let expect = deform_conv2d_ref(
             &x,
             &offsets,
+            Modulation::None,
             &w,
             None,
             &shape.deform_params(),
@@ -497,6 +540,7 @@ mod tests {
         let expect = deform_conv2d_ref(
             &x,
             &offsets,
+            Modulation::None,
             &w,
             None,
             &shape.deform_params(),
@@ -517,6 +561,7 @@ mod tests {
         let expect = deform_conv2d_ref(
             &x,
             &offsets,
+            Modulation::None,
             &w,
             None,
             &shape.deform_params(),

@@ -161,7 +161,7 @@ impl DeformedShapesConfig {
                     ShapeClass::Rectangle => uy.abs() <= 0.8 && ux.abs() <= 0.8,
                     ShapeClass::Triangle => {
                         // Upright triangle in canonical frame.
-                        uy <= 0.9 && uy >= -0.9 && ux.abs() <= (0.9 - uy) * 0.55
+                        (-0.9..=0.9).contains(&uy) && ux.abs() <= (0.9 - uy) * 0.55
                     }
                 };
                 if inside {

@@ -669,8 +669,8 @@ pub fn decode_detections(
                 let m = logits.iter().copied().fold(f32::NEG_INFINITY, f32::max);
                 let exps: Vec<f32> = logits.iter().map(|v| (v - m).exp()).collect();
                 let z: f32 = exps.iter().sum();
-                for c in 1..k1 {
-                    let score = exps[c] / z;
+                for (c, e) in exps.iter().enumerate().skip(1) {
+                    let score = e / z;
                     if score < score_threshold {
                         continue;
                     }

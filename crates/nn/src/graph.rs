@@ -355,7 +355,7 @@ impl Tape {
                 parents.len(),
                 "backward arity mismatch at node {i}"
             );
-            for (p, g) in parents.into_iter().zip(pgrads.into_iter()) {
+            for (p, g) in parents.into_iter().zip(pgrads) {
                 match &mut self.nodes[p.0].grad {
                     Some(acc) => {
                         for (a, b) in acc.data_mut().iter_mut().zip(g.data().iter()) {

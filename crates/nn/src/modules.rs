@@ -449,7 +449,7 @@ impl Module for DeformConv2d {
         self.last_offsets = Some(offsets);
         let w = t.param(s, self.weight);
         let b = self.bias.map(|bb| t.param(s, bb));
-        ops::deform_conv2d_op(t, x, offsets, w, b, self.params, self.transform)
+        ops::deform_conv2d_op(t, x, offsets, None, w, b, self.params, self.transform)
     }
 }
 
@@ -750,76 +750,50 @@ impl ModulatedDeformConv2d {
     }
 }
 
+/// Channels `[lo, lo + len)` of `x` as a differentiable op: the gradient
+/// scatters back into those channels and is zero elsewhere.
+fn channel_slice(t: &mut Tape, x: Var, lo: usize, len: usize) -> Var {
+    let dims = t.value(x).dims().to_vec();
+    let (n, c, plane) = (dims[0], dims[1], dims[2] * dims[3]);
+    let src = t.value(x).data();
+    let data = (0..n)
+        .flat_map(|ni| &src[(ni * c + lo) * plane..(ni * c + lo + len) * plane])
+        .copied()
+        .collect();
+    let value = Tensor::from_vec(data, &[n, len, dims[2], dims[3]]);
+    t.push(
+        value,
+        vec![x],
+        Some(Box::new(move |gy| {
+            let mut g = Tensor::zeros(&dims);
+            for ni in 0..n {
+                g.data_mut()[(ni * c + lo) * plane..(ni * c + lo + len) * plane]
+                    .copy_from_slice(&gy.data()[ni * len * plane..(ni + 1) * len * plane]);
+            }
+            vec![g]
+        })),
+    )
+}
+
 impl Module for ModulatedDeformConv2d {
     fn forward(&mut self, t: &mut Tape, s: &ParamStore, x: Var) -> Var {
         let joint = self.predictor.forward(t, s, x);
         // Split channels: first 2Gk² are offsets, the rest are mask logits.
-        let dims = t.value(joint).dims().to_vec();
-        let (n, _, oh, ow) = (dims[0], dims[1], dims[2], dims[3]);
         let off_ch = self.params.offset_channels();
-        let mask_ch = off_ch / 2;
-        let joint_v = t.value(joint).clone();
-        let mut off_data = Tensor::zeros(&[n, off_ch, oh, ow]);
-        let mut mask_data = Tensor::zeros(&[n, mask_ch, oh, ow]);
-        for ni in 0..n {
-            for c in 0..off_ch {
-                for y in 0..oh {
-                    for xx in 0..ow {
-                        *off_data.at4_mut(ni, c, y, xx) = joint_v.at4(ni, c, y, xx);
-                    }
-                }
-            }
-            for c in 0..mask_ch {
-                for y in 0..oh {
-                    for xx in 0..ow {
-                        *mask_data.at4_mut(ni, c, y, xx) = joint_v.at4(ni, off_ch + c, y, xx);
-                    }
-                }
-            }
-        }
-        // Record the split as a differentiable op.
-        let off_ch_cap = off_ch;
-        let dims_cap = dims.clone();
-        let offsets = t.push(
-            off_data,
-            vec![joint],
-            Some(Box::new(move |gy| {
-                let mut g = Tensor::zeros(&dims_cap);
-                let (n, _, oh, ow) = g.shape().nchw();
-                for ni in 0..n {
-                    for c in 0..off_ch_cap {
-                        for y in 0..oh {
-                            for xx in 0..ow {
-                                *g.at4_mut(ni, c, y, xx) = gy.at4(ni, c, y, xx);
-                            }
-                        }
-                    }
-                }
-                vec![g]
-            })),
-        );
-        let dims_cap2 = dims.clone();
-        let mask_logits = t.push(
-            mask_data,
-            vec![joint],
-            Some(Box::new(move |gy| {
-                let mut g = Tensor::zeros(&dims_cap2);
-                let (n, mc, oh, ow) = gy.shape().nchw();
-                for ni in 0..n {
-                    for c in 0..mc {
-                        for y in 0..oh {
-                            for xx in 0..ow {
-                                *g.at4_mut(ni, off_ch + c, y, xx) = gy.at4(ni, c, y, xx);
-                            }
-                        }
-                    }
-                }
-                vec![g]
-            })),
-        );
+        let offsets = channel_slice(t, joint, 0, off_ch);
+        let mask_logits = channel_slice(t, joint, off_ch, off_ch / 2);
         let mask = ops::sigmoid(t, mask_logits);
         let w = t.param(s, self.weight);
-        ops::deform_conv2d_v2_op(t, x, offsets, mask, w, None, self.params, self.transform)
+        ops::deform_conv2d_op(
+            t,
+            x,
+            offsets,
+            Some(mask),
+            w,
+            None,
+            self.params,
+            self.transform,
+        )
     }
 }
 

@@ -15,7 +15,7 @@ use defcon_tensor::pool::{
     upsample_nearest_2x, upsample_nearest_2x_backward,
 };
 use defcon_tensor::sample::{
-    deform_conv2d_backward_ref, deform_conv2d_ref, DeformConv2dParams, OffsetTransform,
+    deform_conv2d_backward_ref, deform_conv2d_ref, DeformConv2dParams, Modulation, OffsetTransform,
 };
 use defcon_tensor::{gemm, Tensor};
 
@@ -271,10 +271,14 @@ pub fn pointwise_conv2d_op(t: &mut Tape, x: Var, w: Var, b: Option<Var>) -> Var 
 
 /// Deformable 2-D convolution (paper Eq. 2) with a differentiable offset
 /// input and the given offset transform (identity / bounded / rounded).
+/// With a `mask` (sigmoid-activated by the caller) it is the modulated
+/// DCNv2 operator, and the mask is differentiable too.
+#[allow(clippy::too_many_arguments)]
 pub fn deform_conv2d_op(
     t: &mut Tape,
     x: Var,
     offsets: Var,
+    mask: Option<Var>,
     w: Var,
     b: Option<Var>,
     p: DeformConv2dParams,
@@ -282,24 +286,32 @@ pub fn deform_conv2d_op(
 ) -> Var {
     let xv = t.value(x).clone();
     let ov = t.value(offsets).clone();
+    let mv = mask.map(|m| t.value(m).clone());
     let wv = t.value(w).clone();
     let bv = b.map(|bb| t.value(bb).clone());
-    let v = deform_conv2d_ref(&xv, &ov, &wv, bv.as_ref(), &p, transform);
-    let mut parents = vec![x, offsets, w];
-    if let Some(bb) = b {
-        parents.push(bb);
-    }
+    let modulation = mv.as_ref().map_or(Modulation::None, Modulation::Mask);
+    let v = deform_conv2d_ref(&xv, &ov, modulation, &wv, bv.as_ref(), &p, transform);
+    let parents: Vec<Var> = [Some(x), Some(offsets), mask, Some(w), b]
+        .into_iter()
+        .flatten()
+        .collect();
     let has_bias = b.is_some();
     t.push(
         v,
         parents,
         Some(Box::new(move |gy| {
-            let (gx, goff, gw, gb) = deform_conv2d_backward_ref(&xv, &ov, &wv, gy, &p, transform);
-            if has_bias {
-                vec![gx, goff, gw, gb]
-            } else {
-                vec![gx, goff, gw]
-            }
+            let (gx, goff, gmask, gw, gb) =
+                deform_conv2d_backward_ref(&xv, &ov, mv.as_ref(), &wv, gy, &p, transform);
+            [
+                Some(gx),
+                Some(goff),
+                gmask,
+                Some(gw),
+                has_bias.then_some(gb),
+            ]
+            .into_iter()
+            .flatten()
+            .collect()
         })),
     )
 }
@@ -342,8 +354,8 @@ pub fn linear(t: &mut Tape, x: Var, w: Var, b: Option<Var>) -> Var {
             if has_bias {
                 let mut gb = vec![0.0f32; o];
                 for i in 0..n {
-                    for j in 0..o {
-                        gb[j] += gy.data()[i * o + j];
+                    for (j, g) in gb.iter_mut().enumerate() {
+                        *g += gy.data()[i * o + j];
                     }
                 }
                 out.push(Tensor::from_vec(gb, &[o]));
@@ -359,6 +371,7 @@ pub fn linear(t: &mut Tape, x: Var, w: Var, b: Option<Var>) -> Var {
 
 /// Training-mode batch norm; updates `running_mean/var` in place through the
 /// provided mutable slices at record time.
+#[allow(clippy::too_many_arguments)]
 pub fn batch_norm2d_op(
     t: &mut Tape,
     x: Var,
@@ -718,44 +731,4 @@ mod tests {
         }
         assert!(last < 0.05, "loss did not converge: {last}");
     }
-}
-
-/// Modulated deformable convolution (DCNv2): like [`deform_conv2d_op`] but
-/// with a per-tap modulation mask input (sigmoid-activated by the caller).
-#[allow(clippy::too_many_arguments)]
-pub fn deform_conv2d_v2_op(
-    t: &mut Tape,
-    x: Var,
-    offsets: Var,
-    mask: Var,
-    w: Var,
-    b: Option<Var>,
-    p: DeformConv2dParams,
-    transform: OffsetTransform,
-) -> Var {
-    use defcon_tensor::sample::{deform_conv2d_v2_backward_ref, deform_conv2d_v2_ref};
-    let xv = t.value(x).clone();
-    let ov = t.value(offsets).clone();
-    let mv = t.value(mask).clone();
-    let wv = t.value(w).clone();
-    let bv = b.map(|bb| t.value(bb).clone());
-    let v = deform_conv2d_v2_ref(&xv, &ov, &mv, &wv, bv.as_ref(), &p, transform);
-    let mut parents = vec![x, offsets, mask, w];
-    if let Some(bb) = b {
-        parents.push(bb);
-    }
-    let has_bias = b.is_some();
-    t.push(
-        v,
-        parents,
-        Some(Box::new(move |gy| {
-            let (gx, goff, gmask, gw, gb) =
-                deform_conv2d_v2_backward_ref(&xv, &ov, &mv, &wv, gy, &p, transform);
-            if has_bias {
-                vec![gx, goff, gmask, gw, gb]
-            } else {
-                vec![gx, goff, gmask, gw]
-            }
-        })),
-    )
 }

@@ -742,8 +742,12 @@ mod tests {
         assert!(snapshot().is_empty());
     }
 
+    /// Serializes the tests that set or read `DEFCON_TRACE`.
+    static TRACE_ENV: Mutex<()> = Mutex::new(());
+
     #[test]
     fn arm_from_env_writes_trace_on_drop() {
+        let _env = TRACE_ENV.lock().unwrap_or_else(|e| e.into_inner());
         let path =
             std::env::temp_dir().join(format!("defcon_obs_test_{}.json", std::process::id()));
         std::env::set_var(crate::env::TRACE, &path);
@@ -758,11 +762,15 @@ mod tests {
         let forest = forest_from_chrome(&Json::parse(&body).unwrap()).unwrap();
         assert_eq!(forest.len(), 1);
         assert_eq!(forest[0].name, "traced");
+        // Other tests may arm once the guard has dropped; holding the
+        // arming lock checks this scope's own disarm.
+        let _quiet = quiesce();
         assert!(!armed());
     }
 
     #[test]
     fn arm_from_env_off_when_unset() {
+        let _env = TRACE_ENV.lock().unwrap_or_else(|e| e.into_inner());
         // DEFCON_TRACE is not set in the test environment by default.
         assert!(arm_from_env().unwrap().is_none());
     }

@@ -204,7 +204,7 @@ mod tests {
 
     #[test]
     fn single_chunk_runs_inline() {
-        let mut data = vec![1.0f32; 10];
+        let mut data = [1.0f32; 10];
         data.par_chunks_mut(64).enumerate().for_each(|(i, chunk)| {
             assert_eq!(i, 0);
             for v in chunk {
@@ -247,7 +247,7 @@ mod tests {
     #[test]
     fn chunk_size_larger_than_slice_is_one_chunk() {
         use std::sync::atomic::{AtomicUsize, Ordering};
-        let mut data = vec![0u8; 7];
+        let mut data = [0u8; 7];
         let visits = AtomicUsize::new(0);
         data.par_chunks_mut(1000)
             .enumerate()
@@ -355,7 +355,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "thread count must be positive")]
     fn zero_thread_override_is_rejected() {
-        let mut data = vec![0u8; 4];
+        let mut data = [0u8; 4];
         data.par_chunks_mut(2).threads(0).for_each(|_| {});
     }
 }

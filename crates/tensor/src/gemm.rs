@@ -131,8 +131,8 @@ fn gemm_legacy(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize
 
 /// Single-accumulator ascending-k dot product: the per-element kernel of
 /// [`gemm_bt`]'s tail and of the deformable reference paths' per-pixel
-/// aggregation (`sample::deform_conv2d_ref` and friends dot each output
-/// channel's weight row against the pixel's shared sample scratch). One
+/// aggregation (`sample::deform_conv2d_ref` without modulation dots each
+/// output channel's weight row against the pixel's shared sample scratch). One
 /// accumulator, ascending index — the order every bitwise gate in the
 /// workspace pins. Never split this into lanes: that changes the bits.
 #[inline]
@@ -366,7 +366,7 @@ mod tests {
         (0..len)
             .map(|i| {
                 let h = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ seed;
-                if h % 7 == 0 {
+                if h.is_multiple_of(7) {
                     0.0
                 } else {
                     ((h % 4096) as f32 - 2048.0) / 512.0

@@ -36,10 +36,7 @@ pub mod sample;
 pub mod shape;
 pub mod tensor;
 
-pub use sample::{
-    deform_conv2d_ref, deform_conv2d_v2_ref, deform_conv2d_v3_ref, sigmoid, tap_softmax,
-    DeformConv2dParams,
-};
+pub use sample::{deform_conv2d_ref, sigmoid, tap_softmax, DeformConv2dParams, Modulation};
 pub use shape::Shape;
 pub use tensor::Tensor;
 

@@ -37,9 +37,9 @@ pub fn batch_norm2d_train(
     let mut mean = vec![0.0f32; c];
     let mut var = vec![0.0f32; c];
     for ni in 0..n {
-        for ci in 0..c {
+        for (ci, mu) in mean.iter_mut().enumerate() {
             let base = x.shape().offset4(ni, ci, 0, 0);
-            mean[ci] += x.data()[base..base + h * w].iter().sum::<f32>();
+            *mu += x.data()[base..base + h * w].iter().sum::<f32>();
         }
     }
     for mu in &mut mean {

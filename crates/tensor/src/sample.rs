@@ -10,6 +10,10 @@
 //! is `[N, 2·G·k·k, outH, outW]` where `G` is the number of deformable
 //! groups; channel `2·(g·k² + tap)` is the **y** offset and `+1` the **x**
 //! offset for kernel tap `tap` of group `g`.
+//!
+//! The operator families (DCNv1, the modulated DCNv2, the softmax-aggregated
+//! DCNv3) are one reference, [`deform_conv2d_ref`], parameterised by a
+//! per-tap [`Modulation`].
 
 use crate::conv::Conv2dParams;
 use crate::Tensor;
@@ -170,23 +174,108 @@ impl OffsetTransform {
     }
 }
 
-/// Deformable convolution forward (reference implementation, Eq. 2).
+/// Numerically stable logistic sigmoid `σ(x) = 1 / (1 + e^{-x})`.
 ///
-/// * `x`: `[N, C_in, H, W]`
-/// * `offsets`: `[N, 2·G·k·k, outH, outW]`
-/// * `weight`: `[C_out, C_in, k, k]`
+/// Both branches avoid overflow in the exponential: for `x ≥ 0` the
+/// argument of `exp` is non-positive, for `x < 0` the small exponential
+/// appears in numerator and denominator. The result is always in
+/// `[0, 1]` and strictly monotone in `x`.
+#[inline]
+pub fn sigmoid(x: f32) -> f32 {
+    if x >= 0.0 {
+        1.0 / (1.0 + (-x).exp())
+    } else {
+        let e = x.exp();
+        e / (1.0 + e)
+    }
+}
+
+/// Softmax over one deformable group's `k²` tap logits, computed in f64
+/// with the max subtracted (DCNv3 normalization).
 ///
-/// Returns `[N, C_out, outH, outW]`.
-pub fn deform_conv2d_ref(
+/// The f64 accumulation keeps `Σᵢ wᵢ = 1` within 1e-12 for any sane
+/// logit range, and for *constant* logits every shifted exponential is
+/// exactly `exp(0) = 1.0`, so each weight is exactly `fl(1/k²)` — the
+/// property the v3 ≡ uniform-average conformance identity relies on.
+pub fn tap_softmax(logits: &[f32]) -> Vec<f64> {
+    let max = logits
+        .iter()
+        .fold(f64::NEG_INFINITY, |m, &v| m.max(v as f64));
+    let mut exps: Vec<f64> = logits.iter().map(|&v| (v as f64 - max).exp()).collect();
+    let z: f64 = exps.iter().sum();
+    for e in &mut exps {
+        *e /= z;
+    }
+    exps
+}
+
+/// The per-tap modulation of a deformable convolution — the operator
+/// family axis. Both tensors are `[N, G·k², outH, outW]` with channel
+/// `g·k² + tap`.
+///
+/// * `None` — DCNv1 (paper Eq. 2): every tap weighs exactly `1.0`.
+/// * `Mask` — DCNv2 (modulated DCN, Zhu et al.): a post-sigmoid mask,
+///   torchvision's semantics (the caller applies the sigmoid).
+/// * `Softmax` — DCNv3: raw aggregation logits, normalized here by
+///   [`tap_softmax`] over the `k²` taps of each group at each output
+///   position.
+///
+/// The two reduction identities are exact: `w·1.0` is exact in f32, so a
+/// unit `Mask` is bytewise `None`, and constant `Softmax` logits give each
+/// tap exactly `fl(1/k²)`, so they are bytewise a flat `Mask` of that
+/// value.
+#[derive(Clone, Copy, Debug)]
+pub enum Modulation<'a> {
+    /// No modulation (DCNv1).
+    None,
+    /// Post-sigmoid modulation mask (DCNv2).
+    Mask(&'a Tensor),
+    /// Raw softmax aggregation logits (DCNv3).
+    Softmax(&'a Tensor),
+}
+
+impl<'a> Modulation<'a> {
+    /// The modulation tensor, if any.
+    fn tensor(&self) -> Option<&'a Tensor> {
+        match *self {
+            Modulation::None => None,
+            Modulation::Mask(t) | Modulation::Softmax(t) => Some(t),
+        }
+    }
+
+    /// Writes the factors of deformable group `g` at output `(ni, oy, ox)`
+    /// into `out`, one per tap (`out.len()` is `k²`): `1.0`, the mask
+    /// value, or the tap's softmax weight cast to f32.
+    pub fn group_factors(&self, ni: usize, g: usize, oy: usize, ox: usize, out: &mut [f32]) {
+        let kk = out.len();
+        let Some(t) = self.tensor() else {
+            out.fill(1.0);
+            return;
+        };
+        for (tap, f) in out.iter_mut().enumerate() {
+            *f = t.at4(ni, g * kk + tap, oy, ox);
+        }
+        if let Modulation::Softmax(_) = self {
+            let weights = tap_softmax(out);
+            for (f, w) in out.iter_mut().zip(weights) {
+                *f = w as f32;
+            }
+        }
+    }
+}
+
+/// Checks the operands of a deformable convolution and returns the output
+/// extent `(oh, ow)`: channel match, kernel size, group divisibility, and
+/// the offset and modulation dims.
+fn check_operands(
     x: &Tensor,
     offsets: &Tensor,
+    modulation: Option<&Tensor>,
     weight: &Tensor,
-    bias: Option<&Tensor>,
     p: &DeformConv2dParams,
-    transform: OffsetTransform,
-) -> Tensor {
+) -> (usize, usize) {
     let (n, c_in, h, w) = x.shape().nchw();
-    let (c_out, wc_in, k, _) = weight.shape().nchw();
+    let (_, wc_in, k, _) = weight.shape().nchw();
     assert_eq!(c_in, wc_in, "deform_conv2d channel mismatch");
     assert_eq!(k, p.conv.kernel);
     assert_eq!(
@@ -201,6 +290,39 @@ pub fn deform_conv2d_ref(
         &[n, p.offset_channels(), oh, ow],
         "offset tensor must be [N, 2*G*k*k, outH, outW]"
     );
+    if let Some(m) = modulation {
+        assert_eq!(
+            m.dims(),
+            &[n, p.deform_groups * k * k, oh, ow],
+            "modulation tensor must be [N, G*k*k, outH, outW]"
+        );
+    }
+    (oh, ow)
+}
+
+/// Deformable convolution forward (reference implementation, Eq. 2),
+/// with the family's per-tap modulation:
+///
+/// `y(p_o) = Σ_i w(p_i) · m_i(p_o) · x(p_o + p_i + Δp_i)`
+///
+/// * `x`: `[N, C_in, H, W]`
+/// * `offsets`: `[N, 2·G·k·k, outH, outW]`
+/// * `modulation`: the factors `m_i` (see [`Modulation`])
+/// * `weight`: `[C_out, C_in, k, k]`
+///
+/// Returns `[N, C_out, outH, outW]`.
+pub fn deform_conv2d_ref(
+    x: &Tensor,
+    offsets: &Tensor,
+    modulation: Modulation<'_>,
+    weight: &Tensor,
+    bias: Option<&Tensor>,
+    p: &DeformConv2dParams,
+    transform: OffsetTransform,
+) -> Tensor {
+    let (oh, ow) = check_operands(x, offsets, modulation.tensor(), weight, p);
+    let (n, c_in, _, _) = x.shape().nchw();
+    let (c_out, _, k, _) = weight.shape().nchw();
     let ch_per_group = c_in / p.deform_groups;
     let kk = k * k;
 
@@ -213,16 +335,19 @@ pub fn deform_conv2d_ref(
         .enumerate()
         .for_each(|(ni, dst)| {
             // Per-pixel scratch, reused across every output channel: the
-            // sampling positions depend only on (g, tap) and the bilinear
-            // samples only on (ci, tap), so computing them once per pixel
-            // removes the c_out× recomputation of the naive loop. Each
-            // output element still sees the identical product sequence in
+            // sampling positions and modulation factors depend only on
+            // (g, tap) and the bilinear samples only on (ci, tap), so
+            // computing them once per pixel removes the c_out×
+            // recomputation of the naive loop. Each output element still
+            // sees the identical product sequence `(w · m) · sample` in
             // ascending (ci, ki, kj) order, so the bits don't move.
             let mut coords = vec![(0.0f32, 0.0f32); dgroups * kk];
+            let mut mfac = vec![0.0f32; dgroups * kk];
             let mut samples = vec![0.0f32; c_in * kk];
             for oy in 0..oh {
                 for ox in 0..ow {
                     for g in 0..dgroups {
+                        modulation.group_factors(ni, g, oy, ox, &mut mfac[g * kk..(g + 1) * kk]);
                         for ki in 0..k {
                             for kj in 0..k {
                                 let tap = ki * k + kj;
@@ -247,7 +372,26 @@ pub fn deform_conv2d_ref(
                     }
                     for co in 0..c_out {
                         let w_row = &wdata[co * c_in * kk..(co + 1) * c_in * kk];
-                        dst[(co * oh + oy) * ow + ox] = crate::gemm::dot(w_row, &samples);
+                        dst[(co * oh + oy) * ow + ox] = match modulation {
+                            // `w · 1.0` is exact: the plain dot is the same
+                            // bytes, without the unit multiplies.
+                            Modulation::None => crate::gemm::dot(w_row, &samples),
+                            _ => {
+                                let mut acc = 0.0f32;
+                                for (ci, (wrow, srow)) in w_row
+                                    .chunks_exact(kk)
+                                    .zip(samples.chunks_exact(kk))
+                                    .enumerate()
+                                {
+                                    let g = ci / ch_per_group;
+                                    let mrow = &mfac[g * kk..(g + 1) * kk];
+                                    for tap in 0..kk {
+                                        acc += wrow[tap] * mrow[tap] * srow[tap];
+                                    }
+                                }
+                                acc
+                            }
+                        };
                     }
                 }
             }
@@ -258,35 +402,23 @@ pub fn deform_conv2d_ref(
     out
 }
 
-/// Verbatim copy of the pre-restructure [`deform_conv2d_ref`] (one task per
-/// `(n, c_out)` slab, samples recomputed for every output channel). Kept as
-/// the test-only bitwise correctness oracle for the shared-scratch rewrite;
-/// see the `legacy_pinning` tests.
+/// The pre-restructure form of [`deform_conv2d_ref`] (one task per
+/// `(n, c_out)` slab, positions, factors and samples recomputed for every
+/// output channel). Kept as the test-only bitwise correctness oracle for
+/// the shared-scratch rewrite; see the `legacy_pinning` tests.
 #[cfg(test)]
 fn deform_conv2d_ref_legacy(
     x: &Tensor,
     offsets: &Tensor,
+    modulation: Modulation<'_>,
     weight: &Tensor,
     bias: Option<&Tensor>,
     p: &DeformConv2dParams,
     transform: OffsetTransform,
 ) -> Tensor {
-    let (n, c_in, h, w) = x.shape().nchw();
-    let (c_out, wc_in, k, _) = weight.shape().nchw();
-    assert_eq!(c_in, wc_in, "deform_conv2d channel mismatch");
-    assert_eq!(k, p.conv.kernel);
-    assert_eq!(
-        c_in % p.deform_groups,
-        0,
-        "input channels {c_in} not divisible by deform groups {}",
-        p.deform_groups
-    );
-    let (oh, ow) = p.conv.out_hw(h, w);
-    assert_eq!(
-        offsets.dims(),
-        &[n, p.offset_channels(), oh, ow],
-        "offset tensor must be [N, 2*G*k*k, outH, outW]"
-    );
+    let (oh, ow) = check_operands(x, offsets, modulation.tensor(), weight, p);
+    let (n, c_in, _, _) = x.shape().nchw();
+    let (c_out, _, k, _) = weight.shape().nchw();
     let ch_per_group = c_in / p.deform_groups;
     let kk = k * k;
 
@@ -298,26 +430,41 @@ fn deform_conv2d_ref_legacy(
         .enumerate()
         .for_each(|(flat, dst)| {
             let (ni, co) = (flat / c_out, flat % c_out);
+            let mut raw = vec![0.0f32; kk];
+            let mut wsoft = vec![0.0f64; dgroups * kk];
             for oy in 0..oh {
                 for ox in 0..ow {
+                    if let Modulation::Softmax(logits) = modulation {
+                        for g in 0..dgroups {
+                            for (tap, slot) in raw.iter_mut().enumerate() {
+                                *slot = logits.at4(ni, g * kk + tap, oy, ox);
+                            }
+                            wsoft[g * kk..(g + 1) * kk].copy_from_slice(&tap_softmax(&raw));
+                        }
+                    }
                     let mut acc = 0.0f32;
                     for ci in 0..c_in {
                         let g = ci / ch_per_group;
-                        debug_assert!(g < dgroups);
                         for ki in 0..k {
                             for kj in 0..k {
                                 let tap = ki * k + kj;
                                 let oc = 2 * (g * kk + tap);
                                 let dy = transform.apply(offsets.at4(ni, oc, oy, ox));
                                 let dx = transform.apply(offsets.at4(ni, oc + 1, oy, ox));
+                                let m = match modulation {
+                                    Modulation::None => 1.0,
+                                    Modulation::Mask(mask) => mask.at4(ni, g * kk + tap, oy, ox),
+                                    Modulation::Softmax(_) => wsoft[g * kk + tap] as f32,
+                                };
                                 let py = (oy * conv.stride + ki * conv.dilation) as f32
                                     - conv.pad as f32
                                     + dy;
                                 let px = (ox * conv.stride + kj * conv.dilation) as f32
                                     - conv.pad as f32
                                     + dx;
-                                acc +=
-                                    weight.at4(co, ci, ki, kj) * bilinear_sample(x, ni, ci, py, px);
+                                acc += weight.at4(co, ci, ki, kj)
+                                    * m
+                                    * bilinear_sample(x, ni, ci, py, px);
                             }
                         }
                     }
@@ -331,26 +478,32 @@ fn deform_conv2d_ref_legacy(
     out
 }
 
-/// Gradients of [`deform_conv2d_ref`] w.r.t. input, offsets, weight and bias.
+/// Gradients of [`deform_conv2d_ref`] with an optional DCNv2 `mask`
+/// (`None` is DCNv1) w.r.t. input, offsets, mask, weight and bias.
 ///
-/// Returns `(grad_x, grad_offsets, grad_w, grad_b)`.
+/// Returns `(grad_x, grad_offsets, grad_mask, grad_w, grad_b)`;
+/// `grad_mask` is `Some` exactly when `mask` is. Without a mask every
+/// modulation multiply is by an exact `1.0`, so the bytes are those of
+/// the unmodulated gradient.
 pub fn deform_conv2d_backward_ref(
     x: &Tensor,
     offsets: &Tensor,
+    mask: Option<&Tensor>,
     weight: &Tensor,
     gy: &Tensor,
     p: &DeformConv2dParams,
     transform: OffsetTransform,
-) -> (Tensor, Tensor, Tensor, Tensor) {
+) -> (Tensor, Tensor, Option<Tensor>, Tensor, Tensor) {
+    let (oh, ow) = check_operands(x, offsets, mask, weight, p);
     let (n, c_in, h, w) = x.shape().nchw();
     let (c_out, _, k, _) = weight.shape().nchw();
-    let (oh, ow) = p.conv.out_hw(h, w);
     let ch_per_group = c_in / p.deform_groups;
     let kk = k * k;
     let conv = p.conv;
 
     let mut gx = Tensor::zeros(x.dims());
     let mut goff = Tensor::zeros(offsets.dims());
+    let mut gmask = mask.map(|m| Tensor::zeros(m.dims()));
     let mut gw = Tensor::zeros(weight.dims());
     let mut gb = Tensor::zeros(&[c_out]);
 
@@ -367,6 +520,7 @@ pub fn deform_conv2d_backward_ref(
                             let raw_dx = offsets.at4(ni, oc + 1, oy, ox);
                             let dy = transform.apply(raw_dy);
                             let dx = transform.apply(raw_dx);
+                            let m = mask.map_or(1.0, |mk| mk.at4(ni, g * kk + tap, oy, ox));
                             let py = (oy * conv.stride + ki * conv.dilation) as f32
                                 - conv.pad as f32
                                 + dy;
@@ -386,15 +540,18 @@ pub fn deform_conv2d_backward_ref(
                                 }
                                 let wv = weight.at4(co, ci, ki, kj);
                                 gsum += gout * wv;
-                                *gw.at4_mut(co, ci, ki, kj) += gout * sampled;
+                                *gw.at4_mut(co, ci, ki, kj) += gout * m * sampled;
                             }
                             if gsum != 0.0 {
-                                *goff.at4_mut(ni, oc, oy, ox) +=
-                                    gsum * gpy * transform.grad(raw_dy);
+                                if let Some(gmask) = gmask.as_mut() {
+                                    *gmask.at4_mut(ni, g * kk + tap, oy, ox) += gsum * sampled;
+                                }
+                                let gm = gsum * m;
+                                *goff.at4_mut(ni, oc, oy, ox) += gm * gpy * transform.grad(raw_dy);
                                 *goff.at4_mut(ni, oc + 1, oy, ox) +=
-                                    gsum * gpx * transform.grad(raw_dx);
+                                    gm * gpx * transform.grad(raw_dx);
                                 bilinear_scatter(h, w, py, px, |qy, qx, wgt| {
-                                    *gx.at4_mut(ni, ci, qy, qx) += gsum * wgt;
+                                    *gx.at4_mut(ni, ci, qy, qx) += gm * wgt;
                                 });
                             }
                         }
@@ -406,7 +563,28 @@ pub fn deform_conv2d_backward_ref(
             }
         }
     }
-    (gx, goff, gw, gb)
+    (gx, goff, gmask, gw, gb)
+}
+
+/// [`deform_conv2d_ref`] without bias and with identity offsets — the
+/// common form of the unit tests.
+#[cfg(test)]
+fn forward(
+    x: &Tensor,
+    offsets: &Tensor,
+    modulation: Modulation<'_>,
+    weight: &Tensor,
+    p: &DeformConv2dParams,
+) -> Tensor {
+    deform_conv2d_ref(
+        x,
+        offsets,
+        modulation,
+        weight,
+        None,
+        p,
+        OffsetTransform::Identity,
+    )
 }
 
 #[cfg(test)]
@@ -466,7 +644,7 @@ mod tests {
         let x = Tensor::randn(&[1, 3, 7, 7], 0.0, 1.0, 32);
         let w = Tensor::randn(&[4, 3, 3, 3], 0.0, 0.5, 33);
         let off = Tensor::zeros(&[1, p.offset_channels(), 7, 7]);
-        let y_def = deform_conv2d_ref(&x, &off, &w, None, &p, OffsetTransform::Identity);
+        let y_def = forward(&x, &off, Modulation::None, &w, &p);
         let y_reg = conv2d(&x, &w, None, &p.conv);
         assert_close(&y_def, &y_reg, 1e-4, 1e-4);
     }
@@ -489,7 +667,7 @@ mod tests {
         let mut off = Tensor::zeros(&[1, 2, 2, 2]);
         // Δy = 1 at output (0,0): samples x[1,0] = 3.
         *off.at4_mut(0, 0, 0, 0) = 1.0;
-        let y = deform_conv2d_ref(&x, &off, &w, None, &p, OffsetTransform::Identity);
+        let y = forward(&x, &off, Modulation::None, &w, &p);
         assert_eq!(y.at4(0, 0, 0, 0), 3.0);
         assert_eq!(y.at4(0, 0, 1, 1), 4.0);
     }
@@ -505,7 +683,7 @@ mod tests {
         let w = Tensor::randn(&[2, 4, 3, 3], 0.0, 0.5, 35);
         let off = Tensor::rand_uniform(&[1, 36, 5, 5], -1.0, 1.0, 36);
         // Consistency: computing with G=2 must equal manual two-group sum.
-        let y = deform_conv2d_ref(&x, &off, &w, None, &p, OffsetTransform::Identity);
+        let y = forward(&x, &off, Modulation::None, &w, &p);
         assert_eq!(y.dims(), &[1, 2, 5, 5]);
         // Group 0 (channels 0..2) must be insensitive to group-1 offsets.
         let mut off2 = off.clone();
@@ -525,8 +703,8 @@ mod tests {
                 }
             }
         }
-        let a = deform_conv2d_ref(&x0, &off, &w, None, &p, OffsetTransform::Identity);
-        let b = deform_conv2d_ref(&x0, &off2, &w, None, &p, OffsetTransform::Identity);
+        let a = forward(&x0, &off, Modulation::None, &w, &p);
+        let b = forward(&x0, &off2, Modulation::None, &w, &p);
         assert_close(&a, &b, 1e-5, 1e-5);
     }
 
@@ -559,7 +737,7 @@ mod tests {
         let off = Tensor::rand_uniform(&[1, 18, 5, 5], -0.8, 0.8, 39);
         let tr = OffsetTransform::Identity;
 
-        let y = deform_conv2d_ref(&x, &off, &w, None, &p, tr);
+        let y = deform_conv2d_ref(&x, &off, Modulation::None, &w, None, &p, tr);
         // Weighted-sum loss for non-trivial gy.
         let gy = Tensor::from_vec(
             (0..y.numel())
@@ -568,14 +746,14 @@ mod tests {
             y.dims(),
         );
         let loss = |x: &Tensor, off: &Tensor, w: &Tensor| {
-            deform_conv2d_ref(x, off, w, None, &p, tr)
+            deform_conv2d_ref(x, off, Modulation::None, w, None, &p, tr)
                 .data()
                 .iter()
                 .zip(gy.data().iter())
                 .map(|(a, b)| a * b)
                 .sum::<f32>()
         };
-        let (gx, goff, gw, _gb) = deform_conv2d_backward_ref(&x, &off, &w, &gy, &p, tr);
+        let (gx, goff, _, gw, _gb) = deform_conv2d_backward_ref(&x, &off, None, &w, &gy, &p, tr);
 
         let eps = 1e-2f32;
         for &idx in &[3usize, 12, 30, 44] {
@@ -622,471 +800,18 @@ mod tests {
         let x = Tensor::randn(&[1, 2, 6, 6], 0.0, 1.0, 40);
         let w = Tensor::randn(&[2, 2, 3, 3], 0.0, 0.5, 41);
         let off = Tensor::rand_uniform(&[1, 18, 6, 6], -2.0, 2.0, 42);
-        let a = deform_conv2d_ref(&x, &off, &w, None, &p, OffsetTransform::Identity);
-        let b = deform_conv2d_ref(&x, &off, &w, None, &p, OffsetTransform::Bounded(7.0));
+        let a = forward(&x, &off, Modulation::None, &w, &p);
+        let b = deform_conv2d_ref(
+            &x,
+            &off,
+            Modulation::None,
+            &w,
+            None,
+            &p,
+            OffsetTransform::Bounded(7.0),
+        );
         assert_close(&a, &b, 1e-6, 1e-6);
     }
-}
-
-// ---------------------------------------------------------------------------
-// Modulated deformable convolution (DCNv2, Zhu et al. — the variant
-// YOLACT++ builds on: each tap also learns a scalar modulation weight)
-// ---------------------------------------------------------------------------
-
-/// Modulated deformable convolution forward (DCNv2):
-///
-/// `y(p_o) = Σ_i w(p_i) · m_i(p_o) · x(p_o + p_i + Δp_i)`
-///
-/// * `mask`: `[N, G·k², outH, outW]` modulation scalars, already passed
-///   through a sigmoid by the caller (channel `g·k² + tap`).
-///
-/// Offsets follow the same layout and transform rules as
-/// [`deform_conv2d_ref`].
-pub fn deform_conv2d_v2_ref(
-    x: &Tensor,
-    offsets: &Tensor,
-    mask: &Tensor,
-    weight: &Tensor,
-    bias: Option<&Tensor>,
-    p: &DeformConv2dParams,
-    transform: OffsetTransform,
-) -> Tensor {
-    let (n, c_in, h, w) = x.shape().nchw();
-    let (c_out, _, k, _) = weight.shape().nchw();
-    let (oh, ow) = p.conv.out_hw(h, w);
-    let kk = k * k;
-    assert_eq!(
-        mask.dims(),
-        &[n, p.deform_groups * kk, oh, ow],
-        "mask tensor must be [N, G*k*k, outH, outW]"
-    );
-    let ch_per_group = c_in / p.deform_groups;
-    let conv = p.conv;
-    let dgroups = p.deform_groups;
-    let wdata = weight.data();
-
-    let mut out = Tensor::zeros(&[n, c_out, oh, ow]);
-    out.data_mut()
-        .par_chunks_mut(c_out * oh * ow)
-        .enumerate()
-        .for_each(|(ni, dst)| {
-            // Shared per-pixel scratch (see `deform_conv2d_ref`). The
-            // modulation factor is hoisted per (g, tap) but the multiply
-            // stays `(w · m) · sample` — the exact association the
-            // v3 ≡ flat-mask-v2 byte identity is pinned to.
-            let mut coords = vec![(0.0f32, 0.0f32); dgroups * kk];
-            let mut mfac = vec![0.0f32; dgroups * kk];
-            let mut samples = vec![0.0f32; c_in * kk];
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    for g in 0..dgroups {
-                        for ki in 0..k {
-                            for kj in 0..k {
-                                let tap = ki * k + kj;
-                                let oc = 2 * (g * kk + tap);
-                                let dy = transform.apply(offsets.at4(ni, oc, oy, ox));
-                                let dx = transform.apply(offsets.at4(ni, oc + 1, oy, ox));
-                                let py = (oy * conv.stride + ki * conv.dilation) as f32
-                                    - conv.pad as f32
-                                    + dy;
-                                let px = (ox * conv.stride + kj * conv.dilation) as f32
-                                    - conv.pad as f32
-                                    + dx;
-                                coords[g * kk + tap] = (py, px);
-                                mfac[g * kk + tap] = mask.at4(ni, g * kk + tap, oy, ox);
-                            }
-                        }
-                    }
-                    for ci in 0..c_in {
-                        let g = ci / ch_per_group;
-                        for (tap, &(py, px)) in coords[g * kk..(g + 1) * kk].iter().enumerate() {
-                            samples[ci * kk + tap] = bilinear_sample(x, ni, ci, py, px);
-                        }
-                    }
-                    for co in 0..c_out {
-                        let w_row = &wdata[co * c_in * kk..(co + 1) * c_in * kk];
-                        let mut acc = 0.0f32;
-                        for ci in 0..c_in {
-                            let g = ci / ch_per_group;
-                            let mrow = &mfac[g * kk..(g + 1) * kk];
-                            let srow = &samples[ci * kk..(ci + 1) * kk];
-                            let wrow = &w_row[ci * kk..(ci + 1) * kk];
-                            for tap in 0..kk {
-                                acc += wrow[tap] * mrow[tap] * srow[tap];
-                            }
-                        }
-                        dst[(co * oh + oy) * ow + ox] = acc;
-                    }
-                }
-            }
-        });
-    if let Some(b) = bias {
-        crate::conv::add_channel_bias(&mut out, b);
-    }
-    out
-}
-
-/// Verbatim copy of the pre-restructure [`deform_conv2d_v2_ref`]; test-only
-/// bitwise oracle for the shared-scratch rewrite (see the `legacy_pinning`
-/// tests).
-#[cfg(test)]
-#[allow(clippy::too_many_arguments)]
-fn deform_conv2d_v2_ref_legacy(
-    x: &Tensor,
-    offsets: &Tensor,
-    mask: &Tensor,
-    weight: &Tensor,
-    bias: Option<&Tensor>,
-    p: &DeformConv2dParams,
-    transform: OffsetTransform,
-) -> Tensor {
-    let (n, c_in, h, w) = x.shape().nchw();
-    let (c_out, _, k, _) = weight.shape().nchw();
-    let (oh, ow) = p.conv.out_hw(h, w);
-    let kk = k * k;
-    assert_eq!(
-        mask.dims(),
-        &[n, p.deform_groups * kk, oh, ow],
-        "mask tensor must be [N, G*k*k, outH, outW]"
-    );
-    let ch_per_group = c_in / p.deform_groups;
-    let conv = p.conv;
-
-    let mut out = Tensor::zeros(&[n, c_out, oh, ow]);
-    out.data_mut()
-        .par_chunks_mut(oh * ow)
-        .enumerate()
-        .for_each(|(flat, dst)| {
-            let (ni, co) = (flat / c_out, flat % c_out);
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut acc = 0.0f32;
-                    for ci in 0..c_in {
-                        let g = ci / ch_per_group;
-                        for ki in 0..k {
-                            for kj in 0..k {
-                                let tap = ki * k + kj;
-                                let oc = 2 * (g * kk + tap);
-                                let dy = transform.apply(offsets.at4(ni, oc, oy, ox));
-                                let dx = transform.apply(offsets.at4(ni, oc + 1, oy, ox));
-                                let m = mask.at4(ni, g * kk + tap, oy, ox);
-                                let py = (oy * conv.stride + ki * conv.dilation) as f32
-                                    - conv.pad as f32
-                                    + dy;
-                                let px = (ox * conv.stride + kj * conv.dilation) as f32
-                                    - conv.pad as f32
-                                    + dx;
-                                acc += weight.at4(co, ci, ki, kj)
-                                    * m
-                                    * bilinear_sample(x, ni, ci, py, px);
-                            }
-                        }
-                    }
-                    dst[oy * ow + ox] = acc;
-                }
-            }
-        });
-    if let Some(b) = bias {
-        crate::conv::add_channel_bias(&mut out, b);
-    }
-    out
-}
-
-/// Gradients of [`deform_conv2d_v2_ref`] w.r.t. input, offsets, mask,
-/// weight and bias: `(gx, goff, gmask, gw, gb)`.
-#[allow(clippy::too_many_arguments)]
-pub fn deform_conv2d_v2_backward_ref(
-    x: &Tensor,
-    offsets: &Tensor,
-    mask: &Tensor,
-    weight: &Tensor,
-    gy: &Tensor,
-    p: &DeformConv2dParams,
-    transform: OffsetTransform,
-) -> (Tensor, Tensor, Tensor, Tensor, Tensor) {
-    let (n, c_in, h, w) = x.shape().nchw();
-    let (c_out, _, k, _) = weight.shape().nchw();
-    let (oh, ow) = p.conv.out_hw(h, w);
-    let ch_per_group = c_in / p.deform_groups;
-    let kk = k * k;
-    let conv = p.conv;
-
-    let mut gx = Tensor::zeros(x.dims());
-    let mut goff = Tensor::zeros(offsets.dims());
-    let mut gmask = Tensor::zeros(mask.dims());
-    let mut gw = Tensor::zeros(weight.dims());
-    let mut gb = Tensor::zeros(&[c_out]);
-
-    for ni in 0..n {
-        for oy in 0..oh {
-            for ox in 0..ow {
-                for ci in 0..c_in {
-                    let g = ci / ch_per_group;
-                    for ki in 0..k {
-                        for kj in 0..k {
-                            let tap = ki * k + kj;
-                            let oc = 2 * (g * kk + tap);
-                            let raw_dy = offsets.at4(ni, oc, oy, ox);
-                            let raw_dx = offsets.at4(ni, oc + 1, oy, ox);
-                            let dy = transform.apply(raw_dy);
-                            let dx = transform.apply(raw_dx);
-                            let m = mask.at4(ni, g * kk + tap, oy, ox);
-                            let py = (oy * conv.stride + ki * conv.dilation) as f32
-                                - conv.pad as f32
-                                + dy;
-                            let px = (ox * conv.stride + kj * conv.dilation) as f32
-                                - conv.pad as f32
-                                + dx;
-
-                            let sampled = bilinear_sample(x, ni, ci, py, px);
-                            let (gpy, gpx) = bilinear_sample_grad_pos(x, ni, ci, py, px);
-
-                            let mut gsum = 0.0f32;
-                            for co in 0..c_out {
-                                let gout = gy.at4(ni, co, oy, ox);
-                                if gout == 0.0 {
-                                    continue;
-                                }
-                                let wv = weight.at4(co, ci, ki, kj);
-                                gsum += gout * wv;
-                                *gw.at4_mut(co, ci, ki, kj) += gout * m * sampled;
-                            }
-                            if gsum != 0.0 {
-                                *gmask.at4_mut(ni, g * kk + tap, oy, ox) += gsum * sampled;
-                                let gm = gsum * m;
-                                *goff.at4_mut(ni, oc, oy, ox) += gm * gpy * transform.grad(raw_dy);
-                                *goff.at4_mut(ni, oc + 1, oy, ox) +=
-                                    gm * gpx * transform.grad(raw_dx);
-                                bilinear_scatter(h, w, py, px, |qy, qx, wgt| {
-                                    *gx.at4_mut(ni, ci, qy, qx) += gm * wgt;
-                                });
-                            }
-                        }
-                    }
-                }
-                for co in 0..c_out {
-                    gb.data_mut()[co] += gy.at4(ni, co, oy, ox);
-                }
-            }
-        }
-    }
-    (gx, goff, gmask, gw, gb)
-}
-
-// ---------------------------------------------------------------------------
-
-/// Numerically stable logistic sigmoid `σ(x) = 1 / (1 + e^{-x})`.
-///
-/// Both branches avoid overflow in the exponential: for `x ≥ 0` the
-/// argument of `exp` is non-positive, for `x < 0` the small exponential
-/// appears in numerator and denominator. The result is always in
-/// `[0, 1]` and strictly monotone in `x`.
-#[inline]
-pub fn sigmoid(x: f32) -> f32 {
-    if x >= 0.0 {
-        1.0 / (1.0 + (-x).exp())
-    } else {
-        let e = x.exp();
-        e / (1.0 + e)
-    }
-}
-
-/// Softmax over one deformable group's `k²` tap logits, computed in f64
-/// with the max subtracted (DCNv3 normalization).
-///
-/// The f64 accumulation keeps `Σᵢ wᵢ = 1` within 1e-12 for any sane
-/// logit range, and for *constant* logits every shifted exponential is
-/// exactly `exp(0) = 1.0`, so each weight is exactly `fl(1/k²)` — the
-/// property the v3 ≡ uniform-average conformance identity relies on.
-pub fn tap_softmax(logits: &[f32]) -> Vec<f64> {
-    let max = logits
-        .iter()
-        .fold(f64::NEG_INFINITY, |m, &v| m.max(v as f64));
-    let mut exps: Vec<f64> = logits.iter().map(|&v| (v as f64 - max).exp()).collect();
-    let z: f64 = exps.iter().sum();
-    for e in &mut exps {
-        *e /= z;
-    }
-    exps
-}
-
-/// Sparse-aggregation deformable convolution forward (DCNv3):
-///
-/// `y(p_o) = Σ_i w(p_i) · softmax_i(l(p_o))_i · x(p_o + p_i + Δp_i)`
-///
-/// * `logits`: `[N, G·k², outH, outW]` **raw** aggregation logits
-///   (channel `g·k² + tap`); the softmax over the `k²` taps of each
-///   group is computed here, per output position — unlike DCNv2 the
-///   caller passes no sigmoid-activated mask.
-///
-/// Offsets follow the same layout and transform rules as
-/// [`deform_conv2d_ref`]. The per-tap multiply order matches
-/// [`deform_conv2d_v2_ref`] (`w · m · sample`), so v3 with constant
-/// logits is byte-identical to v2 with a flat `fl(1/k²)` mask.
-pub fn deform_conv2d_v3_ref(
-    x: &Tensor,
-    offsets: &Tensor,
-    logits: &Tensor,
-    weight: &Tensor,
-    bias: Option<&Tensor>,
-    p: &DeformConv2dParams,
-    transform: OffsetTransform,
-) -> Tensor {
-    let (n, c_in, h, w) = x.shape().nchw();
-    let (c_out, _, k, _) = weight.shape().nchw();
-    let (oh, ow) = p.conv.out_hw(h, w);
-    let kk = k * k;
-    assert_eq!(
-        logits.dims(),
-        &[n, p.deform_groups * kk, oh, ow],
-        "logit tensor must be [N, G*k*k, outH, outW]"
-    );
-    let ch_per_group = c_in / p.deform_groups;
-    let dgroups = p.deform_groups;
-    let conv = p.conv;
-    let wdata = weight.data();
-
-    let mut out = Tensor::zeros(&[n, c_out, oh, ow]);
-    out.data_mut()
-        .par_chunks_mut(c_out * oh * ow)
-        .enumerate()
-        .for_each(|(ni, dst)| {
-            // Shared per-pixel scratch (see `deform_conv2d_ref`). The
-            // softmax is computed once per pixel instead of once per
-            // (pixel, output-channel) pair; the f64→f32 cast happens when
-            // `mfac` is filled, and the multiply stays `(w · m) · sample`
-            // — the exact association the v3 ≡ flat-mask-v2 byte identity
-            // is pinned to.
-            let mut raw = vec![0.0f32; kk];
-            let mut coords = vec![(0.0f32, 0.0f32); dgroups * kk];
-            let mut mfac = vec![0.0f32; dgroups * kk];
-            let mut samples = vec![0.0f32; c_in * kk];
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    for g in 0..dgroups {
-                        for (tap, slot) in raw.iter_mut().enumerate() {
-                            *slot = logits.at4(ni, g * kk + tap, oy, ox);
-                        }
-                        for (tap, &wv) in tap_softmax(&raw).iter().enumerate() {
-                            mfac[g * kk + tap] = wv as f32;
-                        }
-                        for ki in 0..k {
-                            for kj in 0..k {
-                                let tap = ki * k + kj;
-                                let oc = 2 * (g * kk + tap);
-                                let dy = transform.apply(offsets.at4(ni, oc, oy, ox));
-                                let dx = transform.apply(offsets.at4(ni, oc + 1, oy, ox));
-                                let py = (oy * conv.stride + ki * conv.dilation) as f32
-                                    - conv.pad as f32
-                                    + dy;
-                                let px = (ox * conv.stride + kj * conv.dilation) as f32
-                                    - conv.pad as f32
-                                    + dx;
-                                coords[g * kk + tap] = (py, px);
-                            }
-                        }
-                    }
-                    for ci in 0..c_in {
-                        let g = ci / ch_per_group;
-                        for (tap, &(py, px)) in coords[g * kk..(g + 1) * kk].iter().enumerate() {
-                            samples[ci * kk + tap] = bilinear_sample(x, ni, ci, py, px);
-                        }
-                    }
-                    for co in 0..c_out {
-                        let w_row = &wdata[co * c_in * kk..(co + 1) * c_in * kk];
-                        let mut acc = 0.0f32;
-                        for ci in 0..c_in {
-                            let g = ci / ch_per_group;
-                            let mrow = &mfac[g * kk..(g + 1) * kk];
-                            let srow = &samples[ci * kk..(ci + 1) * kk];
-                            let wrow = &w_row[ci * kk..(ci + 1) * kk];
-                            for tap in 0..kk {
-                                acc += wrow[tap] * mrow[tap] * srow[tap];
-                            }
-                        }
-                        dst[(co * oh + oy) * ow + ox] = acc;
-                    }
-                }
-            }
-        });
-    if let Some(b) = bias {
-        crate::conv::add_channel_bias(&mut out, b);
-    }
-    out
-}
-
-/// Verbatim copy of the pre-restructure [`deform_conv2d_v3_ref`]; test-only
-/// bitwise oracle for the shared-scratch rewrite (see the `legacy_pinning`
-/// tests).
-#[cfg(test)]
-#[allow(clippy::too_many_arguments)]
-fn deform_conv2d_v3_ref_legacy(
-    x: &Tensor,
-    offsets: &Tensor,
-    logits: &Tensor,
-    weight: &Tensor,
-    bias: Option<&Tensor>,
-    p: &DeformConv2dParams,
-    transform: OffsetTransform,
-) -> Tensor {
-    let (n, c_in, h, w) = x.shape().nchw();
-    let (c_out, _, k, _) = weight.shape().nchw();
-    let (oh, ow) = p.conv.out_hw(h, w);
-    let kk = k * k;
-    assert_eq!(
-        logits.dims(),
-        &[n, p.deform_groups * kk, oh, ow],
-        "logit tensor must be [N, G*k*k, outH, outW]"
-    );
-    let ch_per_group = c_in / p.deform_groups;
-    let dgroups = p.deform_groups;
-    let conv = p.conv;
-
-    let mut out = Tensor::zeros(&[n, c_out, oh, ow]);
-    out.data_mut()
-        .par_chunks_mut(oh * ow)
-        .enumerate()
-        .for_each(|(flat, dst)| {
-            let (ni, co) = (flat / c_out, flat % c_out);
-            let mut raw = vec![0.0f32; kk];
-            let mut wsoft = vec![0.0f64; dgroups * kk];
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    for g in 0..dgroups {
-                        for (tap, slot) in raw.iter_mut().enumerate() {
-                            *slot = logits.at4(ni, g * kk + tap, oy, ox);
-                        }
-                        wsoft[g * kk..(g + 1) * kk].copy_from_slice(&tap_softmax(&raw));
-                    }
-                    let mut acc = 0.0f32;
-                    for ci in 0..c_in {
-                        let g = ci / ch_per_group;
-                        for ki in 0..k {
-                            for kj in 0..k {
-                                let tap = ki * k + kj;
-                                let oc = 2 * (g * kk + tap);
-                                let dy = transform.apply(offsets.at4(ni, oc, oy, ox));
-                                let dx = transform.apply(offsets.at4(ni, oc + 1, oy, ox));
-                                let py = (oy * conv.stride + ki * conv.dilation) as f32
-                                    - conv.pad as f32
-                                    + dy;
-                                let px = (ox * conv.stride + kj * conv.dilation) as f32
-                                    - conv.pad as f32
-                                    + dx;
-                                acc += weight.at4(co, ci, ki, kj)
-                                    * (wsoft[g * kk + tap] as f32)
-                                    * bilinear_sample(x, ni, ci, py, px);
-                            }
-                        }
-                    }
-                    dst[oy * ow + ox] = acc;
-                }
-            }
-        });
-    if let Some(b) = bias {
-        crate::conv::add_channel_bias(&mut out, b);
-    }
-    out
 }
 
 #[cfg(test)]
@@ -1101,8 +826,8 @@ mod v2_tests {
         let w = Tensor::randn(&[4, 3, 3, 3], 0.0, 0.4, 201);
         let off = Tensor::rand_uniform(&[1, 18, 7, 7], -1.5, 1.5, 202);
         let m = Tensor::ones(&[1, 9, 7, 7]);
-        let v2 = deform_conv2d_v2_ref(&x, &off, &m, &w, None, &p, OffsetTransform::Identity);
-        let v1 = deform_conv2d_ref(&x, &off, &w, None, &p, OffsetTransform::Identity);
+        let v2 = forward(&x, &off, Modulation::Mask(&m), &w, &p);
+        let v1 = forward(&x, &off, Modulation::None, &w, &p);
         assert_close(&v2, &v1, 1e-4, 1e-4);
     }
 
@@ -1113,7 +838,7 @@ mod v2_tests {
         let w = Tensor::randn(&[2, 2, 3, 3], 0.0, 0.4, 204);
         let off = Tensor::zeros(&[1, 18, 5, 5]);
         let m = Tensor::zeros(&[1, 9, 5, 5]);
-        let y = deform_conv2d_v2_ref(&x, &off, &m, &w, None, &p, OffsetTransform::Identity);
+        let y = forward(&x, &off, Modulation::Mask(&m), &w, &p);
         assert!(y.data().iter().all(|&v| v == 0.0));
     }
 
@@ -1133,7 +858,7 @@ mod v2_tests {
         let w = Tensor::ones(&[1, 1, 1, 1]);
         let off = Tensor::zeros(&[1, 2, 4, 4]);
         let m = Tensor::full(&[1, 1, 4, 4], 0.25);
-        let y = deform_conv2d_v2_ref(&x, &off, &m, &w, None, &p, OffsetTransform::Identity);
+        let y = forward(&x, &off, Modulation::Mask(&m), &w, &p);
         assert_close(&y, &x.scale(0.25), 1e-6, 1e-6);
     }
 
@@ -1145,7 +870,7 @@ mod v2_tests {
         let off = Tensor::rand_uniform(&[1, 18, 5, 5], -0.9, 0.9, 208);
         let m = Tensor::rand_uniform(&[1, 9, 5, 5], 0.2, 0.9, 209);
         let tr = OffsetTransform::Identity;
-        let y = deform_conv2d_v2_ref(&x, &off, &m, &w, None, &p, tr);
+        let y = deform_conv2d_ref(&x, &off, Modulation::Mask(&m), &w, None, &p, tr);
         let gy = Tensor::from_vec(
             (0..y.numel())
                 .map(|i| ((i % 5) as f32 - 2.0) * 0.4)
@@ -1153,14 +878,16 @@ mod v2_tests {
             y.dims(),
         );
         let loss = |x: &Tensor, off: &Tensor, m: &Tensor, w: &Tensor| {
-            deform_conv2d_v2_ref(x, off, m, w, None, &p, tr)
+            deform_conv2d_ref(x, off, Modulation::Mask(m), w, None, &p, tr)
                 .data()
                 .iter()
                 .zip(gy.data().iter())
                 .map(|(a, b)| a * b)
                 .sum::<f32>()
         };
-        let (gx, goff, gmask, gw, _) = deform_conv2d_v2_backward_ref(&x, &off, &m, &w, &gy, &p, tr);
+        let (gx, goff, gmask, gw, _) =
+            deform_conv2d_backward_ref(&x, &off, Some(&m), &w, &gy, &p, tr);
+        let gmask = gmask.expect("a mask has a gradient");
 
         let eps = 1e-2f32;
         for &idx in &[0usize, 13, 30] {
@@ -1266,8 +993,8 @@ mod v3_tests {
         let off = Tensor::rand_uniform(&[1, 18, 6, 6], -1.2, 1.2, 302);
         let logits = Tensor::full(&[1, 9, 6, 6], 0.875);
         let mask = Tensor::full(&[1, 9, 6, 6], (1.0f64 / 9.0) as f32);
-        let v3 = deform_conv2d_v3_ref(&x, &off, &logits, &w, None, &p, OffsetTransform::Identity);
-        let v2 = deform_conv2d_v2_ref(&x, &off, &mask, &w, None, &p, OffsetTransform::Identity);
+        let v3 = forward(&x, &off, Modulation::Softmax(&logits), &w, &p);
+        let v2 = forward(&x, &off, Modulation::Mask(&mask), &w, &p);
         assert_eq!(v3.data(), v2.data(), "uniform reduction must be exact");
     }
 
@@ -1284,7 +1011,7 @@ mod v3_tests {
                 *logits.at4_mut(0, 4, oy, ox) = 20.0;
             }
         }
-        let y = deform_conv2d_v3_ref(&x, &off, &logits, &w, None, &p, OffsetTransform::Identity);
+        let y = forward(&x, &off, Modulation::Softmax(&logits), &w, &p);
         // With the centre tap dominating and zero offsets this is a plain
         // 1x1 conv with the centre weights.
         let mut expect = Tensor::zeros(&[1, 2, 5, 5]);
@@ -1315,7 +1042,7 @@ mod v3_tests {
         let off = Tensor::zeros(&[1, 36, 5, 5]);
         let logits = Tensor::rand_uniform(&[1, 18, 5, 5], -1.0, 1.0, 306);
         let w = Tensor::randn(&[2, 4, 3, 3], 0.0, 0.4, 307);
-        let y = deform_conv2d_v3_ref(&x, &off, &logits, &w, None, &p, OffsetTransform::Identity);
+        let y = forward(&x, &off, Modulation::Softmax(&logits), &w, &p);
         assert_eq!(y.dims(), &[1, 2, 5, 5]);
         assert!(y.data().iter().any(|&v| v != 0.0));
     }
@@ -1329,45 +1056,112 @@ mod legacy_pinning {
         t.data().iter().map(|v| v.to_bits()).collect()
     }
 
-    /// The shared-scratch forward rewrites must be byte-identical to the
-    /// verbatim legacy loops for every family, transform and group layout.
+    /// FNV-1a over the tensor's little-endian f32 bytes.
+    fn digest(t: &Tensor) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for b in t.data().iter().flat_map(|v| v.to_bits().to_le_bytes()) {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        h
+    }
+
+    /// `(n, c_in, c_out, deform_groups, h, w)` per case.
+    const CASES: [(usize, usize, usize, usize, usize, usize); 3] =
+        [(1, 4, 3, 1, 6, 6), (2, 4, 2, 2, 5, 7), (1, 6, 5, 3, 4, 4)];
+
+    const TRANSFORMS: [OffsetTransform; 3] = [
+        OffsetTransform::Identity,
+        OffsetTransform::Bounded(1.25),
+        OffsetTransform::BoundedRounded(2.0),
+    ];
+
+    /// The seeded operands of one case: params, x, weight, offsets, mask,
+    /// logits and bias.
+    fn operands(case: usize) -> (DeformConv2dParams, [Tensor; 6]) {
+        let (n, c_in, c_out, dgroups, h, w) = CASES[case];
+        let p = DeformConv2dParams {
+            conv: crate::conv::Conv2dParams::same(3),
+            deform_groups: dgroups,
+        };
+        let seed = 9000 + 17 * case as u64;
+        let x = Tensor::randn(&[n, c_in, h, w], 0.0, 1.0, seed);
+        let wt = Tensor::randn(&[c_out, c_in, 3, 3], 0.0, 0.4, seed + 1);
+        let off = Tensor::rand_uniform(&[n, p.offset_channels(), h, w], -1.6, 1.6, seed + 2);
+        let mask = Tensor::rand_uniform(&[n, dgroups * 9, h, w], 0.0, 1.0, seed + 3);
+        let logits = Tensor::rand_uniform(&[n, dgroups * 9, h, w], -2.0, 2.0, seed + 4);
+        let bias = Tensor::randn(&[c_out], 0.0, 0.1, seed + 5);
+        (p, [x, wt, off, mask, logits, bias])
+    }
+
+    /// The shared-scratch forward must be byte-identical to the naive
+    /// per-(n, c_out) legacy loop for every family, transform and group
+    /// layout.
     #[test]
     fn restructured_refs_are_bitwise_identical_to_legacy() {
-        let cases = [
-            (1usize, 4usize, 3usize, 1usize, 6usize, 6usize),
-            (2, 4, 2, 2, 5, 7),
-            (1, 6, 5, 3, 4, 4),
-        ];
-        let transforms = [
-            OffsetTransform::Identity,
-            OffsetTransform::Bounded(1.25),
-            OffsetTransform::BoundedRounded(2.0),
-        ];
-        for (case, &(n, c_in, c_out, dgroups, h, w)) in cases.iter().enumerate() {
-            let p = DeformConv2dParams {
-                conv: crate::conv::Conv2dParams::same(3),
-                deform_groups: dgroups,
-            };
-            let seed = 9000 + 17 * case as u64;
-            let x = Tensor::randn(&[n, c_in, h, w], 0.0, 1.0, seed);
-            let wt = Tensor::randn(&[c_out, c_in, 3, 3], 0.0, 0.4, seed + 1);
-            let off = Tensor::rand_uniform(&[n, p.offset_channels(), h, w], -1.6, 1.6, seed + 2);
-            let mask = Tensor::rand_uniform(&[n, dgroups * 9, h, w], 0.0, 1.0, seed + 3);
-            let logits = Tensor::rand_uniform(&[n, dgroups * 9, h, w], -2.0, 2.0, seed + 4);
-            let bias = Tensor::randn(&[c_out], 0.0, 0.1, seed + 5);
-            for tr in transforms {
-                let v1 = deform_conv2d_ref(&x, &off, &wt, Some(&bias), &p, tr);
-                let v1_old = deform_conv2d_ref_legacy(&x, &off, &wt, Some(&bias), &p, tr);
-                assert_eq!(bits(&v1), bits(&v1_old), "v1 case {case} {tr:?}");
+        for case in 0..CASES.len() {
+            let (p, [x, wt, off, mask, logits, bias]) = operands(case);
+            let families = [
+                ("v1", Modulation::None, Some(&bias)),
+                ("v2", Modulation::Mask(&mask), None),
+                ("v3", Modulation::Softmax(&logits), Some(&bias)),
+            ];
+            for tr in TRANSFORMS {
+                for (name, m, b) in families {
+                    let new = deform_conv2d_ref(&x, &off, m, &wt, b, &p, tr);
+                    let old = deform_conv2d_ref_legacy(&x, &off, m, &wt, b, &p, tr);
+                    assert_eq!(bits(&new), bits(&old), "{name} case {case} {tr:?}");
+                }
+            }
+        }
+    }
 
-                let v2 = deform_conv2d_v2_ref(&x, &off, &mask, &wt, None, &p, tr);
-                let v2_old = deform_conv2d_v2_ref_legacy(&x, &off, &mask, &wt, None, &p, tr);
-                assert_eq!(bits(&v2), bits(&v2_old), "v2 case {case} {tr:?}");
+    /// FNV-1a digests of every backward output, recorded from the separate
+    /// v1 and v2 backward functions before they were folded into
+    /// [`deform_conv2d_backward_ref`]. One row per (case, transform):
+    /// `(gx, goff, gw, gb)` without a mask, then `(gx, goff, gmask, gw,
+    /// gb)` with one.
+    #[rustfmt::skip]
+    const BACKWARD_DIGESTS: [([u64; 4], [u64; 5]); 9] = [
+        ([0x1e16d678918e7258, 0x6605b8ba1b4ac347, 0x7a7c695db200503d, 0xd67f44b4a8860036],
+         [0xe9f5b468f350e718, 0x102ccd81ee56c0fa, 0x42676a24df0abf41, 0x0c3472892d98aaf6, 0xd67f44b4a8860036]),
+        ([0xaeb6863a941ef85d, 0xff8c3e6eb0c865d5, 0x8a3b9624519b711d, 0xd67f44b4a8860036],
+         [0xa93b0945587d7a56, 0x68fd6636a1020e3d, 0x77e0486cb5ae961e, 0x67d40d74a5358300, 0xd67f44b4a8860036]),
+        ([0x4e645a3d7456767b, 0x939bd06bfbf2b312, 0xa40ce888d09af29d, 0xd67f44b4a8860036],
+         [0x11dd7931e2d22839, 0x86a7df33829990f1, 0xebfa297d102aeb49, 0x262f341f8101cc20, 0xd67f44b4a8860036]),
+        ([0x192218926da31b2d, 0xdcd055f5fe791f79, 0x9a9e86554f6ec704, 0x5fa544b0460cadb9],
+         [0xf13ef6bc40f63888, 0x9fd666af4f3b8ccf, 0x54bba510efe5b9cf, 0x6d777c0c7e11a142, 0x5fa544b0460cadb9]),
+        ([0xf91c286d6da51768, 0x7d3e1f270c625b7b, 0xe4467e56eba85025, 0x5fa544b0460cadb9],
+         [0x2896d7c540b9b6e2, 0xc98561b476076899, 0x86da76efbe164bb6, 0x638bdbce6a276ca5, 0x5fa544b0460cadb9]),
+        ([0x398462503d11be5c, 0x8afe2bde0421f308, 0x4bbebf1049f61df4, 0x5fa544b0460cadb9],
+         [0x49c5775add7fe7a3, 0x67c18dc39c5af293, 0x094c584d4a65a3b5, 0x6eefcf557883e92d, 0x5fa544b0460cadb9]),
+        ([0x73acdd07b5783736, 0x29424311d5fb1d31, 0x58bee8bcbf3608e5, 0xed26f73ac8b0bcfb],
+         [0xfea8e8a7a7c905f8, 0x33f2d7a654a5f56c, 0x6e3cbef1d45ddbd3, 0x2b7d66608daa770d, 0xed26f73ac8b0bcfb]),
+        ([0xc48687317dd6c5aa, 0x8e63caed4878add2, 0x4a5e2c116ae748d0, 0xed26f73ac8b0bcfb],
+         [0xc27a3aaecff8dcf8, 0xd7710fe3123796d8, 0xdd2265677b208f72, 0xeb75cccd10c27d97, 0xed26f73ac8b0bcfb]),
+        ([0x29be535472b4b5d3, 0x495447d51d458149, 0x62cff447dd1929ef, 0xed26f73ac8b0bcfb],
+         [0x17a91eb5d850c0c4, 0x38a69a38db17fe51, 0x4daeeb0f6975bfc6, 0xf2ccf6226961591a, 0xed26f73ac8b0bcfb]),
+    ];
 
-                let v3 = deform_conv2d_v3_ref(&x, &off, &logits, &wt, Some(&bias), &p, tr);
-                let v3_old =
-                    deform_conv2d_v3_ref_legacy(&x, &off, &logits, &wt, Some(&bias), &p, tr);
-                assert_eq!(bits(&v3), bits(&v3_old), "v3 case {case} {tr:?}");
+    #[test]
+    fn backward_bytes_match_the_pinned_digests() {
+        let mut rows = BACKWARD_DIGESTS.iter();
+        for (case, &(n, _, c_out, _, h, w)) in CASES.iter().enumerate() {
+            let (p, [x, wt, off, mask, ..]) = operands(case);
+            let gy = Tensor::randn(&[n, c_out, h, w], 0.0, 1.0, 9000 + 17 * case as u64 + 6);
+            for tr in TRANSFORMS {
+                let (v1, v2) = rows.next().expect("one digest row per (case, transform)");
+                let (gx, goff, gmask, gw, gb) =
+                    deform_conv2d_backward_ref(&x, &off, None, &wt, &gy, &p, tr);
+                assert!(gmask.is_none(), "no mask, no mask gradient");
+                let got = [&gx, &goff, &gw, &gb].map(digest);
+                assert_eq!(&got, v1, "unmasked backward, case {case} {tr:?}");
+
+                let (gx, goff, gmask, gw, gb) =
+                    deform_conv2d_backward_ref(&x, &off, Some(&mask), &wt, &gy, &p, tr);
+                let gmask = gmask.expect("a mask has a gradient");
+                let got = [&gx, &goff, &gmask, &gw, &gb].map(digest);
+                assert_eq!(&got, v2, "masked backward, case {case} {tr:?}");
             }
         }
     }

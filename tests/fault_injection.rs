@@ -720,7 +720,7 @@ fn accel_tile_fault_in_serving_degrades_but_still_answers_and_caches() {
     // Two separate sessions: within one drain a duplicate simulates
     // rather than waiting on its twin, so the cache hit needs a second
     // serve call (same discipline as the repro_serving session).
-    let mut out = server.serve(&[req.clone()]);
+    let mut out = server.serve(std::slice::from_ref(&req));
     out.extend(server.serve(&[req]));
     assert_eq!(out.len(), 2);
     assert_eq!(out[0].outcome, ServeOutcome::Served);

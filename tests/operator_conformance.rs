@@ -3,8 +3,9 @@
 //!
 //! The contract (DESIGN.md §10) has three layers:
 //!
-//! 1. **Numeric** — every family on every sampling path agrees with its
-//!    CPU reference (`deform_conv2d_ref` / `_v2_ref` / `_v3_ref`), and the
+//! 1. **Numeric** — every family on every sampling path agrees with the
+//!    CPU reference `deform_conv2d_ref` under the family's `Modulation`
+//!    (`None` / `Mask` / `Softmax`), and the
 //!    family reductions hold **byte-for-byte on each path**: DCNv2 with an
 //!    all-ones mask (or no mask at all) is DCNv1, and DCNv3 with constant
 //!    logits is the uniform 1/k² average — expressed as a DCNv2 flat mask
@@ -22,7 +23,7 @@
 //! the worker-band dimension to every numeric cell as well.
 
 use defcon::prelude::*;
-use defcon::tensor::sample::{deform_conv2d_ref, deform_conv2d_v2_ref, deform_conv2d_v3_ref};
+use defcon::tensor::sample::{deform_conv2d_ref, Modulation};
 
 fn small_shape() -> DeformLayerShape {
     DeformLayerShape::same3x3(4, 6, 10, 10)
@@ -77,29 +78,20 @@ fn every_family_and_path_agrees_with_its_reference() {
         let p = shape.deform_params();
         for family in OpFamily::all() {
             let modulation = synthetic_modulation(&shape, family, 7);
-            let expect = match family {
-                OpFamily::DcnV1 => {
-                    deform_conv2d_ref(&x, &offsets, &w, None, &p, OffsetTransform::Identity)
-                }
-                OpFamily::DcnV2 => deform_conv2d_v2_ref(
-                    &x,
-                    &offsets,
-                    modulation.as_ref().expect("v2 has a mask"),
-                    &w,
-                    None,
-                    &p,
-                    OffsetTransform::Identity,
-                ),
-                OpFamily::DcnV3 => deform_conv2d_v3_ref(
-                    &x,
-                    &offsets,
-                    modulation.as_ref().expect("v3 has logits"),
-                    &w,
-                    None,
-                    &p,
-                    OffsetTransform::Identity,
-                ),
+            let reference_modulation = match family {
+                OpFamily::DcnV1 => Modulation::None,
+                OpFamily::DcnV2 => Modulation::Mask(modulation.as_ref().expect("v2 has a mask")),
+                OpFamily::DcnV3 => Modulation::Softmax(modulation.as_ref().expect("v3 has logits")),
             };
+            let expect = deform_conv2d_ref(
+                &x,
+                &offsets,
+                reference_modulation,
+                &w,
+                None,
+                &p,
+                OffsetTransform::Identity,
+            );
             for method in SamplingMethod::ladder() {
                 let op = op_with(shape, family, method, modulation.clone());
                 let got = op.execute(&x, &offsets, &w, &gpu);
@@ -336,6 +328,71 @@ fn fixed_thread_count_is_reproducible_for_every_cell() {
                     method.name()
                 );
             }
+        }
+    }
+}
+
+/// A modulation tensor that is not `[N, G·k², outH, outW]` is a typed
+/// `modulation-shape` constraint on every entry, never a panic deep in a
+/// kernel or a silently wrong answer: the partitioning simulator refuses
+/// it before slicing the batch, and both backends' `execute` refuse it
+/// even when its element count matches the expected shape's.
+#[test]
+fn misshapen_modulation_is_a_typed_constraint_on_every_entry() {
+    use defcon_support::error::DefconError;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    let is_shape_error = |e: &DefconError| matches!(e, DefconError::Constraint { what, .. } if what == "modulation-shape");
+    let gpu = Gpu::new(DeviceConfig::xavier_agx());
+
+    // 5 images × 512 channels exceed the 2048-layer limit, so the texture
+    // paths partition the batch; the mask covers one image only.
+    let shape = DeformLayerShape {
+        n: 5,
+        ..DeformLayerShape::same3x3(512, 16, 6, 6)
+    };
+    let (x, offsets) = synthetic_inputs(&shape, 2.0, 52);
+    let one_image = Tensor::full(&[1, 9, 6, 6], 0.5);
+    for family in [OpFamily::DcnV2, OpFamily::DcnV3] {
+        for method in SamplingMethod::ladder() {
+            let op = op_with(shape, family, method, Some(one_image.clone()));
+            let err = op
+                .try_simulate_deform(&gpu, &x, &offsets)
+                .expect_err("a one-image modulation for a 5-image batch");
+            assert!(
+                is_shape_error(&err),
+                "{} {}: {err}",
+                family.name(),
+                method.name()
+            );
+        }
+    }
+
+    // Same element count as the expected [1, 9, 10, 10], wrong extents.
+    let shape = small_shape();
+    let (x, offsets) = synthetic_inputs(&shape, 2.0, 53);
+    let w = weight_for(&shape, 54);
+    let wrong = Tensor::rand_uniform(&[1, 9, 20, 5], 0.05, 0.95, 55);
+    let accel = Accel::new(AccelConfig::edge());
+    let backends: [&dyn Backend; 2] = [&gpu, &accel];
+    for method in SamplingMethod::ladder() {
+        let op = op_with(shape, OpFamily::DcnV2, method, Some(wrong.clone()));
+        let err = op
+            .try_simulate_deform(&gpu, &x, &offsets)
+            .expect_err("a [1, 9, 20, 5] mask for a 10×10 output");
+        assert!(is_shape_error(&err), "{}: {err}", method.name());
+        for backend in backends {
+            let payload = catch_unwind(AssertUnwindSafe(|| backend.execute(&op, &x, &offsets, &w)))
+                .expect_err("execute must refuse the mask, not answer");
+            let msg = payload
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_default();
+            assert!(
+                msg.contains("modulation-shape"),
+                "{} on {}: {msg}",
+                method.name(),
+                backend.backend_name()
+            );
         }
     }
 }

@@ -43,6 +43,7 @@ fn numeric_equivalence_across_the_whole_operator_stack() {
     let reference = defcon::tensor::sample::deform_conv2d_ref(
         &x,
         &offsets,
+        defcon::tensor::sample::Modulation::None,
         &weight,
         None,
         &shape.deform_params(),
@@ -60,6 +61,7 @@ fn numeric_equivalence_across_the_whole_operator_stack() {
         &mut tape,
         xv,
         ov,
+        None,
         wv,
         None,
         shape.deform_params(),

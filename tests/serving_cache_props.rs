@@ -164,7 +164,7 @@ fn single_field_mutations_change_the_canonical_form() {
         mutants.push(SimRequest {
             policy: RequestPolicy {
                 deadline_cycles,
-                ..base.policy.clone()
+                ..base.policy
             },
             ..base.clone()
         });
@@ -221,7 +221,7 @@ fn hash_is_pinned_across_runs_and_releases() {
     let budgeted = SimRequest {
         policy: RequestPolicy {
             deadline_cycles: 0x0002_0000,
-            ..req.policy.clone()
+            ..req.policy
         },
         ..req.clone()
     };

@@ -85,6 +85,7 @@ fn zero_offsets_are_rigid() {
             let a = defcon::tensor::sample::deform_conv2d_ref(
                 &x,
                 &off,
+                defcon::tensor::sample::Modulation::None,
                 &w,
                 None,
                 &p,
@@ -378,9 +379,7 @@ fn tap_softmax_normalized_shift_invariant_equivariant() {
 /// `fl(1/k²)` mask — the two reduction identities, on random shapes.
 #[test]
 fn family_reduction_identities_hold_on_random_shapes() {
-    use defcon::tensor::sample::{
-        deform_conv2d_ref, deform_conv2d_v2_ref, deform_conv2d_v3_ref, DeformConv2dParams,
-    };
+    use defcon::tensor::sample::{deform_conv2d_ref, DeformConv2dParams, Modulation};
     prop::check(
         "family_reduction_identities_hold_on_random_shapes",
         &Config::new(12, 0xDEFC_000A),
@@ -397,16 +396,17 @@ fn family_reduction_identities_hold_on_random_shapes() {
             let x = Tensor::randn(&[1, c, hw, hw], 0.0, 1.0, seed);
             let w = Tensor::randn(&[2, c, 3, 3], 0.0, 0.4, seed ^ 7);
             let off = Tensor::randn(&[1, 18, hw, hw], 0.0, 1.5, seed ^ 13);
-            let v1 = deform_conv2d_ref(&x, &off, &w, None, &p, OffsetTransform::Identity);
+            let reference = |m: Modulation<'_>| {
+                deform_conv2d_ref(&x, &off, m, &w, None, &p, OffsetTransform::Identity)
+            };
+            let v1 = reference(Modulation::None);
             let ones = Tensor::full(&[1, 9, hw, hw], 1.0);
-            let v2 = deform_conv2d_v2_ref(&x, &off, &ones, &w, None, &p, OffsetTransform::Identity);
+            let v2 = reference(Modulation::Mask(&ones));
             prop_assert_eq!(v1.data(), v2.data());
             let logits = Tensor::full(&[1, 9, hw, hw], logit);
-            let v3 =
-                deform_conv2d_v3_ref(&x, &off, &logits, &w, None, &p, OffsetTransform::Identity);
+            let v3 = reference(Modulation::Softmax(&logits));
             let flat = Tensor::full(&[1, 9, hw, hw], (1.0f64 / 9.0) as f32);
-            let v2_flat =
-                deform_conv2d_v2_ref(&x, &off, &flat, &w, None, &p, OffsetTransform::Identity);
+            let v2_flat = reference(Modulation::Mask(&flat));
             prop_assert_eq!(v3.data(), v2_flat.data());
             Ok(())
         },
