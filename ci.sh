@@ -138,7 +138,8 @@ check_ratchet crates/core/src/pipeline.rs     2 0
 check_ratchet crates/gpusim/src/device.rs     4 0
 check_ratchet crates/gpusim/src/texture.rs    1 0
 check_ratchet crates/kernels/src/op.rs        3 0
-check_ratchet crates/models/src/trainer.rs    7 0
+check_ratchet crates/models/src/trainer.rs    5 0
+check_ratchet crates/nn/src/train.rs          0 0
 
 # Hot-path tex2D byte-equivalence gate: the legacy (pre-optimization
 # sampler + allocating trace path) and current (branch-free plan/replay +

@@ -40,7 +40,7 @@ fn main() {
     bb.lightweight_offsets = false;
     let mut store = ParamStore::new();
     let mut det = YolactLite::new(&mut store, bb);
-    train_detector(&mut det, &mut store, &cfg);
+    train_detector(&mut det, &mut store, &cfg, 0.0);
     let val = prepare(&cfg.dataset, cfg.val_size, cfg.seed ^ 0xFFFF_0000).samples;
 
     println!("# Fig. 5 — accuracy vs. deformation bound P (evaluated with the offsets of one trained model clamped)\n");

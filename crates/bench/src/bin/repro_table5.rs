@@ -12,7 +12,7 @@
 use defcon_bench::{f2, Table};
 use defcon_models::backbone::BackboneConfig;
 use defcon_models::dataset::DeformedShapesConfig;
-use defcon_models::trainer::{evaluate_detector, prepare, train_detector_reg, TrainConfig};
+use defcon_models::trainer::{evaluate_detector, prepare, train_detector, TrainConfig};
 use defcon_models::YolactLite;
 use defcon_nn::graph::ParamStore;
 use defcon_tensor::sample::OffsetTransform;
@@ -49,7 +49,7 @@ fn main() {
         };
         let mut store = ParamStore::new();
         let mut det = YolactLite::new(&mut store, bb);
-        train_detector_reg(&mut det, &mut store, &cfg, if reg { 0.01 } else { 0.0 });
+        train_detector(&mut det, &mut store, &cfg, if reg { 0.01 } else { 0.0 });
         let val = prepare(&cfg.dataset, cfg.val_size, cfg.seed ^ 0xFFFF_0000).samples;
         let map = evaluate_detector(&mut det, &store, &val, 0.05);
         table.row(&[

@@ -17,13 +17,10 @@ use defcon_nn::gumbel::TemperatureSchedule;
 use defcon_nn::modules::LayerChoice;
 use defcon_nn::ops;
 use defcon_nn::optim::Sgd;
-use defcon_support::ckpt;
+use defcon_nn::train::{Loop, RobustConfig};
 use defcon_support::error::DefconError;
-use defcon_support::fault;
-use defcon_support::json::{Json, JsonError};
+use defcon_support::json::Json;
 use defcon_support::obs;
-use defcon_tensor::Tensor;
-use std::path::PathBuf;
 
 /// What the search needs from a supernet.
 pub trait SearchModel {
@@ -36,7 +33,8 @@ pub trait SearchModel {
     /// Latency-LUT key of slot `i`.
     fn latency_key(&self, i: usize) -> LatencyKey;
 
-    /// Sets the Gumbel-Softmax temperature for the coming epoch.
+    /// Sets the Gumbel-Softmax temperature; called before every
+    /// search-phase step with that epoch's value.
     fn set_temperature(&mut self, tau: f32);
 
     /// Records one training forward pass for mini-batch `batch` and returns
@@ -77,34 +75,6 @@ impl Default for SearchConfig {
             target_latency_ms: 0.0,
             temperature: TemperatureSchedule::standard(),
             lr: 0.05,
-        }
-    }
-}
-
-/// Robustness knobs for [`IntervalSearch::run_robust`].
-#[derive(Clone, Debug)]
-pub struct RobustSearchConfig {
-    /// Where to checkpoint after every epoch (atomic write + CRC). `None`
-    /// disables checkpointing. On start, an existing valid checkpoint at
-    /// this path is resumed; a corrupt/truncated one is discarded and the
-    /// run restarts from scratch (deterministic models then reproduce the
-    /// uninterrupted run exactly).
-    pub checkpoint: Option<PathBuf>,
-    /// How many times one step may be retried after a non-finite
-    /// loss/gradient before the run fails with
-    /// [`DefconError::RetriesExhausted`].
-    pub max_step_retries: usize,
-    /// LR backoff factor applied (multiplicatively, via [`Sgd::backoff`])
-    /// on every rollback.
-    pub lr_backoff: f32,
-}
-
-impl Default for RobustSearchConfig {
-    fn default() -> Self {
-        RobustSearchConfig {
-            checkpoint: None,
-            max_step_retries: 3,
-            lr_backoff: 0.5,
         }
     }
 }
@@ -164,104 +134,61 @@ impl IntervalSearch {
     /// Runs Algorithm 1 on `model`, updating `store` in place.
     ///
     /// Thin wrapper over [`IntervalSearch::run_robust`] with the default
-    /// robustness knobs (no checkpointing); when no step ever produces a
-    /// non-finite loss or gradient the arithmetic is identical to the
-    /// historical unguarded loop.
+    /// robustness knobs (no checkpointing).
     pub fn run<M: SearchModel>(&self, model: &mut M, store: &mut ParamStore) -> SearchOutcome {
-        self.run_robust(model, store, &RobustSearchConfig::default())
+        self.run_robust(model, store, &RobustConfig::default())
             .expect("interval search could not recover from non-finite steps")
     }
 
-    /// Algorithm 1 with graceful degradation:
-    ///
-    /// - every optimization step is guarded: a non-finite task loss or any
-    ///   non-finite parameter gradient rolls the store back to the
-    ///   pre-step snapshot, backs off the learning rate
-    ///   ([`Sgd::backoff`]), and retries, up to
-    ///   `robust.max_step_retries` extra attempts before surfacing
-    ///   [`DefconError::RetriesExhausted`];
-    /// - with `robust.checkpoint` set, the full optimization state is
-    ///   written atomically (CRC-framed) after every epoch, and an
-    ///   existing valid checkpoint is resumed from; a corrupt or
-    ///   truncated checkpoint is discarded and the run restarts from
-    ///   scratch.
-    ///
-    /// Resume replays nothing: completed epochs are skipped and training
-    /// continues from the stored parameters, momentum, and LR schedule.
-    /// For models whose `forward_loss` is a pure function of
-    /// `(store, batch, temperature)` this makes a resumed run
-    /// byte-identical to an uninterrupted one; models holding private RNG
-    /// state (e.g. Gumbel noise streams) resume correctly but reproduce
-    /// the uninterrupted trajectory only up to that noise.
+    /// Algorithm 1 on the guarded, checkpointed training [`Loop`]: the
+    /// search phase with the latency penalty, then [`SearchModel::freeze`],
+    /// then fine-tuning, all checkpointed as one run. See
+    /// [`defcon_nn::train`] for the rollback and resume contract.
     pub fn run_robust<M: SearchModel>(
         &self,
         model: &mut M,
         store: &mut ParamStore,
-        robust: &RobustSearchConfig,
+        robust: &RobustConfig,
     ) -> Result<SearchOutcome, DefconError> {
+        let cfg = &self.config;
         let run_span = obs::span_with("search.run", || {
             vec![
                 ("slots", Json::from(model.num_slots())),
-                ("search_epochs", Json::from(self.config.search_epochs)),
-                ("finetune_epochs", Json::from(self.config.finetune_epochs)),
+                ("search_epochs", Json::from(cfg.search_epochs)),
+                ("finetune_epochs", Json::from(cfg.finetune_epochs)),
                 (
                     "target_latency_ms",
-                    Json::from(self.config.target_latency_ms as f64),
+                    Json::from(cfg.target_latency_ms as f64),
                 ),
-                ("beta", Json::from(self.config.beta as f64)),
+                ("beta", Json::from(cfg.beta as f64)),
             ]
         });
         let lat: Vec<f32> = (0..model.num_slots())
             .map(|i| self.lut.dcn_overhead_ms(&model.latency_key(i)) as f32)
             .collect();
-        let mut opt = Sgd::new(self.config.lr, 0.9, 0.0);
-        let mut loss_history: Vec<f32> = Vec::new();
-        let mut final_loss = f32::NAN;
-
-        // --- Resume from a checkpoint when one is present and intact. ---
-        if let Some(path) = &robust.checkpoint {
-            if let Some(payload) = ckpt::load_or_discard(path)? {
-                let pre = store.snapshot();
-                match parse_search_checkpoint(&payload, store) {
-                    Ok(state) => {
-                        loss_history = state.loss_history;
-                        final_loss = state.final_loss;
-                        opt.restore_schedule(state.opt_steps, state.opt_lr_scale);
-                    }
-                    // A CRC-valid but semantically stale checkpoint (e.g.
-                    // from a different model) degrades to a fresh start;
-                    // the store must not keep a partial load.
-                    Err(_) => store.restore(&pre),
-                }
-            }
-        }
+        let iters = cfg.iters_per_epoch;
+        let opt = Sgd::new(cfg.lr, 0.9, 0.0);
+        let mut run = Loop::new(robust, "search", "search.alpha_grad", iters, opt, store)?;
 
         // --- Interval search phase (Algorithm 1, top loop). ---
-        for epoch in 0..self.config.search_epochs {
-            if loss_history.len() > epoch {
-                continue; // resumed past this epoch
-            }
-            let tau = self.config.temperature.at(epoch);
-            model.set_temperature(tau);
-            let epoch_span = obs::span_with("search.epoch", || {
-                vec![
-                    ("epoch", Json::from(epoch)),
-                    ("phase", Json::str("search")),
-                    ("tau", Json::from(tau as f64)),
-                ]
-            });
-            let mut epoch_loss = 0.0f32;
-            for iter in 0..self.config.iters_per_epoch {
-                let batch = epoch * self.config.iters_per_epoch + iter;
-                epoch_loss +=
-                    self.robust_step(model, store, &mut opt, &lat, true, batch, robust)?;
-            }
-            let mean_loss = epoch_loss / self.config.iters_per_epoch as f32;
-            epoch_span.record("loss", Json::from(mean_loss as f64));
-            drop(epoch_span);
-            loss_history.push(mean_loss);
-            self.save_checkpoint(robust, store, &opt, &loss_history, final_loss)?;
-        }
+        run.epochs(
+            store,
+            0..cfg.search_epochs,
+            false,
+            |epoch| {
+                obs::span_with("search.epoch", || {
+                    vec![
+                        ("epoch", Json::from(epoch)),
+                        ("phase", Json::str("search")),
+                        ("tau", Json::from(cfg.temperature.at(epoch) as f64)),
+                    ]
+                })
+            },
+            |tape, store, epoch, iter| {
+                model.set_temperature(cfg.temperature.at(epoch));
+                self.objective(model, tape, store, Some(&lat), epoch * iters + iter)
+            },
+        )?;
 
         // --- Select layer type by the magnitude of α. ---
         // `freeze` is a pure function of the α values in the store, so a
@@ -275,208 +202,75 @@ impl IntervalSearch {
             .sum();
 
         // --- Fine-tune the result architecture (Algorithm 1, bottom loop). ---
-        for epoch in 0..self.config.finetune_epochs {
-            if loss_history.len() > self.config.search_epochs + epoch {
-                continue; // resumed past this epoch
-            }
-            let epoch_span = obs::span_with("search.epoch", || {
-                vec![
-                    ("epoch", Json::from(self.config.search_epochs + epoch)),
-                    ("phase", Json::str("finetune")),
-                ]
-            });
-            let mut epoch_loss = 0.0f32;
-            for iter in 0..self.config.iters_per_epoch {
-                let batch = epoch * self.config.iters_per_epoch + iter;
-                final_loss =
-                    self.robust_step(model, store, &mut opt, &lat, false, batch, robust)?;
-                epoch_loss += final_loss;
-            }
-            let mean_loss = epoch_loss / self.config.iters_per_epoch as f32;
-            epoch_span.record("loss", Json::from(mean_loss as f64));
-            drop(epoch_span);
-            loss_history.push(mean_loss);
-            self.save_checkpoint(robust, store, &opt, &loss_history, final_loss)?;
-        }
+        let offset = cfg.search_epochs;
+        run.epochs(
+            store,
+            offset..offset + cfg.finetune_epochs,
+            true,
+            |epoch| {
+                obs::span_with("search.epoch", || {
+                    vec![
+                        ("epoch", Json::from(epoch)),
+                        ("phase", Json::str("finetune")),
+                    ]
+                })
+            },
+            |tape, store, epoch, iter| {
+                self.objective(model, tape, store, None, (epoch - offset) * iters + iter)
+            },
+        )?;
 
-        run_span.record("final_loss", Json::from(final_loss as f64));
+        run_span.record("final_loss", Json::from(run.final_loss as f64));
         run_span.record("dcn_overhead_ms", Json::from(dcn_overhead_ms));
         Ok(SearchOutcome {
             choices,
-            final_loss,
+            final_loss: run.final_loss,
             dcn_overhead_ms,
-            loss_history,
+            loss_history: run.history,
         })
     }
 
-    /// One guarded optimization step; returns the task-loss value.
-    #[allow(clippy::too_many_arguments)]
-    fn robust_step<M: SearchModel>(
+    /// Records one step on mini-batch `batch`: returns the objective (the
+    /// task loss, plus the β-weighted Eq. 6 penalty over `lat` in the
+    /// search phase), the task-loss value, and the `search.step` event to
+    /// emit once the step commits.
+    fn objective<M: SearchModel>(
         &self,
         model: &mut M,
-        store: &mut ParamStore,
-        opt: &mut Sgd,
-        lat: &[f32],
-        with_penalty: bool,
+        tape: &mut Tape,
+        store: &ParamStore,
+        lat: Option<&[f32]>,
         batch: usize,
-        robust: &RobustSearchConfig,
-    ) -> Result<f32, DefconError> {
-        for attempt in 0..=robust.max_step_retries {
-            let snap = store.snapshot();
-            store.zero_grads();
-            let mut tape = Tape::new();
-            let task = model.forward_loss(&mut tape, store, batch);
-            let (total, penalty_val) = if with_penalty {
+    ) -> (Var, f32, impl FnOnce()) {
+        let task = model.forward_loss(tape, store, batch);
+        let (total, penalty_val) = match lat {
+            Some(lat) => {
                 let alphas: Vec<Var> = (0..model.num_slots())
                     .map(|i| tape.param(store, model.alpha(i)))
                     .collect();
                 let penalty =
-                    ops::latency_penalty(&mut tape, &alphas, lat, self.config.target_latency_ms);
+                    ops::latency_penalty(tape, &alphas, lat, self.config.target_latency_ms);
                 let penalty_val = tape.value(penalty).data()[0];
-                let weighted = ops::scale(&mut tape, penalty, self.config.beta);
-                (ops::add(&mut tape, task, weighted), Some(penalty_val))
-            } else {
-                (task, None)
-            };
-            let mut task_val = tape.value(task).data()[0];
-            fault::nonfinite_f32("search.loss", &mut task_val);
-            if task_val.is_finite() {
-                tape.backward(total);
-                tape.write_param_grads(store);
-                if fault::fires("search.alpha_grad") && model.num_slots() > 0 {
-                    // Inject a poisoned α gradient (offset-gradient blow-up
-                    // surrogate) for the guard below to catch.
-                    let nan = Tensor::from_vec(vec![f32::NAN, f32::NAN], &[2]);
-                    store.accumulate_grad(model.alpha(0), &nan);
-                }
-                if store.grads_finite() {
-                    opt.step(store);
-                    obs::event_with("search.step", || {
-                        let mut args = vec![
-                            ("batch", Json::from(batch)),
-                            ("task_loss", Json::from(task_val as f64)),
-                        ];
-                        if let Some(p) = penalty_val {
-                            args.push(("lut_penalty", Json::from(p as f64)));
-                        }
-                        args
-                    });
-                    return Ok(task_val);
-                }
+                let weighted = ops::scale(tape, penalty, self.config.beta);
+                (ops::add(tape, task, weighted), Some(penalty_val))
             }
-            // Degradation path: the step diverged — roll back parameters and
-            // momentum, gear the LR down, and retry the same mini-batch.
-            store.restore(&snap);
-            opt.backoff(robust.lr_backoff);
-            obs::event_with("search.rollback", || {
-                vec![
-                    ("batch", Json::from(batch)),
-                    ("attempt", Json::from(attempt)),
-                    ("lr_backoff", Json::from(robust.lr_backoff as f64)),
-                ]
-            });
-        }
-        Err(DefconError::RetriesExhausted {
-            what: format!("interval-search step on batch {batch} (non-finite loss/gradient)"),
-            attempts: robust.max_step_retries + 1,
-        })
-    }
-
-    /// Writes the post-epoch checkpoint when checkpointing is enabled.
-    fn save_checkpoint(
-        &self,
-        robust: &RobustSearchConfig,
-        store: &ParamStore,
-        opt: &Sgd,
-        loss_history: &[f32],
-        final_loss: f32,
-    ) -> Result<(), DefconError> {
-        let Some(path) = &robust.checkpoint else {
-            return Ok(());
+            None => (task, None),
         };
-        let doc = Json::obj(vec![
-            ("epochs_done", Json::from(loss_history.len())),
-            (
-                "final_loss",
-                if final_loss.is_finite() {
-                    Json::from(final_loss as f64)
-                } else {
-                    Json::Null
-                },
-            ),
-            (
-                "loss_history",
-                Json::Arr(loss_history.iter().map(|&v| Json::from(v as f64)).collect()),
-            ),
-            ("opt_steps", Json::from(opt.steps())),
-            ("opt_lr_scale", Json::from(opt.lr_scale() as f64)),
-            ("params", store.state_to_json()),
-        ]);
-        ckpt::save(path, &doc.to_string())?;
-        obs::event_with("search.checkpoint", || {
-            vec![("epochs_done", Json::from(loss_history.len()))]
-        });
-        Ok(())
+        let task_val = tape.value(task).data()[0];
+        let committed = move || {
+            obs::event_with("search.step", || {
+                let mut args = vec![
+                    ("batch", Json::from(batch)),
+                    ("task_loss", Json::from(task_val as f64)),
+                ];
+                if let Some(p) = penalty_val {
+                    args.push(("lut_penalty", Json::from(p as f64)));
+                }
+                args
+            })
+        };
+        (total, task_val, committed)
     }
-}
-
-/// Decoded search checkpoint (see [`IntervalSearch::run_robust`]).
-struct SearchCheckpoint {
-    loss_history: Vec<f32>,
-    final_loss: f32,
-    opt_steps: usize,
-    opt_lr_scale: f32,
-}
-
-/// Parses a CRC-valid checkpoint payload and loads the parameter state
-/// into `store`. On error the caller must restore `store` from a
-/// pre-parse snapshot (the load may have been partial).
-fn parse_search_checkpoint(
-    payload: &str,
-    store: &mut ParamStore,
-) -> Result<SearchCheckpoint, JsonError> {
-    let doc = Json::parse(payload)?;
-    let epochs_done = doc
-        .field("epochs_done")?
-        .as_usize()
-        .ok_or_else(|| JsonError::msg("epochs_done must be a non-negative integer"))?;
-    let final_loss = match doc.field("final_loss")? {
-        Json::Null => f32::NAN,
-        v => v
-            .as_f64()
-            .ok_or_else(|| JsonError::msg("final_loss must be a number or null"))?
-            as f32,
-    };
-    let hist = doc
-        .field("loss_history")?
-        .as_arr()
-        .ok_or_else(|| JsonError::msg("loss_history must be an array"))?;
-    let mut loss_history = Vec::with_capacity(hist.len());
-    for v in hist {
-        loss_history.push(
-            v.as_f64()
-                .ok_or_else(|| JsonError::msg("loss_history entries must be numbers"))?
-                as f32,
-        );
-    }
-    if loss_history.len() != epochs_done {
-        return Err(JsonError::msg("epochs_done disagrees with loss_history"));
-    }
-    let opt_steps = doc
-        .field("opt_steps")?
-        .as_usize()
-        .ok_or_else(|| JsonError::msg("opt_steps must be a non-negative integer"))?;
-    let opt_lr_scale =
-        doc.field("opt_lr_scale")?
-            .as_f64()
-            .ok_or_else(|| JsonError::msg("opt_lr_scale must be a number"))? as f32;
-    store.load_state_json(doc.field("params")?)?;
-    Ok(SearchCheckpoint {
-        loss_history,
-        final_loss,
-        opt_steps,
-        opt_lr_scale,
-    })
 }
 
 #[cfg(test)]
@@ -486,6 +280,7 @@ mod tests {
     use defcon_kernels::op::{OffsetPredictorKind, SamplingMethod};
     use defcon_nn::loss;
     use defcon_nn::modules::{DualPathConv, Module};
+    use defcon_support::{ckpt, fault};
     use defcon_tensor::sample::DeformConv2dParams;
     use defcon_tensor::Tensor;
 
@@ -689,6 +484,21 @@ mod tests {
         p
     }
 
+    /// FNV-1a over the loss history's and final loss's f32 bits, then every
+    /// parameter value's bytes: the byte-identity witness of one run.
+    fn run_digest(out: &SearchOutcome, store: &ParamStore) -> u64 {
+        let mut bytes = Vec::new();
+        for v in out.loss_history.iter().chain([&out.final_loss]) {
+            bytes.extend(v.to_bits().to_le_bytes());
+        }
+        for i in 0..store.len() {
+            for v in store.value(store.param_id(i)).data() {
+                bytes.extend(v.to_bits().to_le_bytes());
+            }
+        }
+        crate::serve::fnv1a64(&bytes)
+    }
+
     fn small_cfg() -> SearchConfig {
         SearchConfig {
             search_epochs: 2,
@@ -698,71 +508,61 @@ mod tests {
         }
     }
 
+    /// [`IntervalSearch::run_robust`] on `small_cfg` from a fresh
+    /// [`ToyNet`]; returns the outcome and the trained store.
+    fn small_run(robust: &RobustConfig) -> (Result<SearchOutcome, DefconError>, ParamStore) {
+        let mut store = ParamStore::new();
+        let mut net = ToyNet::new(&mut store);
+        let search = IntervalSearch::new(small_cfg(), tiny_lut());
+        (search.run_robust(&mut net, &mut store, robust), store)
+    }
+
     #[test]
     fn run_and_run_robust_agree_bitwise_when_unfaulted() {
         let _quiet = fault::quiesce();
-        let mk = || {
-            let mut store = ParamStore::new();
-            let net = ToyNet::new(&mut store);
-            (store, net)
-        };
-        let search = IntervalSearch::new(small_cfg(), tiny_lut());
-        let (mut s1, mut n1) = mk();
-        let a = search.run(&mut n1, &mut s1);
-        let (mut s2, mut n2) = mk();
-        let b = search
-            .run_robust(&mut n2, &mut s2, &RobustSearchConfig::default())
-            .unwrap();
+        let mut s1 = ParamStore::new();
+        let mut n1 = ToyNet::new(&mut s1);
+        let a = IntervalSearch::new(small_cfg(), tiny_lut()).run(&mut n1, &mut s1);
+        let (b, s2) = small_run(&RobustConfig::default());
+        let b = b.unwrap();
         assert_eq!(a.loss_history, b.loss_history);
         assert_eq!(a.final_loss, b.final_loss);
         assert_eq!(a.choices, b.choices);
+        assert_eq!(run_digest(&b, &s2), 0x6d35_170e_3345_cc93);
     }
 
     #[test]
     fn injected_nan_loss_rolls_back_and_recovers() {
         use defcon_support::fault::{FaultPlan, Schedule};
-        let mut store = ParamStore::new();
-        let mut net = ToyNet::new(&mut store);
-        let search = IntervalSearch::new(small_cfg(), tiny_lut());
         let _armed = fault::arm(FaultPlan::new(31).point("search.loss", Schedule::Nth(1)));
-        let out = search
-            .run_robust(&mut net, &mut store, &RobustSearchConfig::default())
-            .unwrap();
+        let (out, store) = small_run(&RobustConfig::default());
+        let out = out.unwrap();
         assert_eq!(fault::log(), vec!["search.loss#1"]);
         assert!(out.loss_history.iter().all(|l| l.is_finite()));
         assert!(out.final_loss.is_finite());
+        assert_eq!(run_digest(&out, &store), 0x4d48_de61_5129_f893);
     }
 
     #[test]
     fn injected_alpha_grad_nan_rolls_back_and_recovers() {
         use defcon_support::fault::{FaultPlan, Schedule};
-        let mut store = ParamStore::new();
-        let mut net = ToyNet::new(&mut store);
-        let search = IntervalSearch::new(small_cfg(), tiny_lut());
         let _armed = fault::arm(FaultPlan::new(32).point("search.alpha_grad", Schedule::Nth(0)));
-        let out = search
-            .run_robust(&mut net, &mut store, &RobustSearchConfig::default())
-            .unwrap();
+        let (out, store) = small_run(&RobustConfig::default());
+        let out = out.unwrap();
         assert_eq!(fault::log(), vec!["search.alpha_grad#0"]);
         assert!(out.final_loss.is_finite());
         // The rollback path backed the LR off; the store must hold no NaNs.
         assert!(store.values_finite());
+        assert_eq!(run_digest(&out, &store), 0x47f4_b287_82a2_ceba);
     }
 
     #[test]
     fn persistent_nan_loss_exhausts_retries_into_typed_error() {
-        use defcon_support::error::DefconError;
         use defcon_support::fault::{FaultPlan, Schedule};
-        let mut store = ParamStore::new();
-        let mut net = ToyNet::new(&mut store);
-        let search = IntervalSearch::new(small_cfg(), tiny_lut());
         let _armed = fault::arm(FaultPlan::new(33).point("search.loss", Schedule::Always));
-        let err = search
-            .run_robust(&mut net, &mut store, &RobustSearchConfig::default())
-            .unwrap_err();
-        match err {
-            DefconError::RetriesExhausted { attempts, .. } => assert_eq!(attempts, 4),
-            other => panic!("expected RetriesExhausted, got {other}"),
+        match small_run(&RobustConfig::default()).0 {
+            Err(DefconError::RetriesExhausted { attempts, .. }) => assert_eq!(attempts, 4),
+            other => panic!("expected RetriesExhausted, got {other:?}"),
         }
     }
 
@@ -771,20 +571,17 @@ mod tests {
         let _quiet = fault::quiesce();
         let path = tmp_path("complete");
         let _ = std::fs::remove_file(&path);
-        let robust = RobustSearchConfig {
+        let robust = RobustConfig {
             checkpoint: Some(path.clone()),
             ..Default::default()
         };
-        let search = IntervalSearch::new(small_cfg(), tiny_lut());
-        let mut store = ParamStore::new();
-        let mut net = ToyNet::new(&mut store);
-        let first = search.run_robust(&mut net, &mut store, &robust).unwrap();
+        let first = small_run(&robust).0.unwrap();
+        let payload = ckpt::load(&path).map(|p| p.map(|p| crate::serve::fnv1a64(p.as_bytes())));
+        assert_eq!(payload, Ok(Some(0x3f43_6c5d_9ca3_7eac)));
         // Resume from the completed checkpoint: every epoch is skipped, so
         // the outcome is reproduced exactly even though the model's Gumbel
         // noise stream was never replayed.
-        let mut store2 = ParamStore::new();
-        let mut net2 = ToyNet::new(&mut store2);
-        let second = search.run_robust(&mut net2, &mut store2, &robust).unwrap();
+        let second = small_run(&robust).0.unwrap();
         assert_eq!(first.loss_history, second.loss_history);
         assert_eq!(first.final_loss, second.final_loss);
         assert_eq!(first.choices, second.choices);
@@ -796,14 +593,11 @@ mod tests {
         let _quiet = fault::quiesce();
         let path = tmp_path("corrupt");
         std::fs::write(&path, "deadbeef\nnot the payload").unwrap();
-        let robust = RobustSearchConfig {
+        let robust = RobustConfig {
             checkpoint: Some(path.clone()),
             ..Default::default()
         };
-        let search = IntervalSearch::new(small_cfg(), tiny_lut());
-        let mut store = ParamStore::new();
-        let mut net = ToyNet::new(&mut store);
-        let out = search.run_robust(&mut net, &mut store, &robust).unwrap();
+        let out = small_run(&robust).0.unwrap();
         assert_eq!(out.loss_history.len(), 4);
         // The run overwrote the corrupt file with a valid checkpoint.
         assert!(ckpt::load(&path).unwrap().is_some());
@@ -827,15 +621,16 @@ mod tests {
             ("params", other_store.state_to_json()),
         ]);
         ckpt::save(&path, &doc.to_string()).unwrap();
-        let robust = RobustSearchConfig {
+        let robust = RobustConfig {
             checkpoint: Some(path.clone()),
             ..Default::default()
         };
-        let search = IntervalSearch::new(small_cfg(), tiny_lut());
-        let mut store = ParamStore::new();
-        let mut net = ToyNet::new(&mut store);
-        let out = search.run_robust(&mut net, &mut store, &robust).unwrap();
-        assert_eq!(out.loss_history.len(), 4, "must run all epochs fresh");
+        let (out, store) = small_run(&robust);
+        assert_eq!(
+            out.unwrap().loss_history.len(),
+            4,
+            "must run all epochs fresh"
+        );
         assert!(store.values_finite());
         let _ = std::fs::remove_file(&path);
     }

@@ -12,12 +12,10 @@ use defcon_core::search::SearchModel;
 use defcon_nn::graph::{ParamId, ParamStore, Tape, Var};
 use defcon_nn::modules::LayerChoice;
 use defcon_nn::optim::Sgd;
-use defcon_support::ckpt;
+use defcon_nn::train::{Loop, RobustConfig};
 use defcon_support::error::DefconError;
-use defcon_support::fault;
-use defcon_support::json::{Json, JsonError};
+use defcon_support::json::Json;
 use defcon_support::obs;
-use std::path::PathBuf;
 
 /// Training hyper-parameters.
 #[derive(Clone, Debug)]
@@ -79,52 +77,22 @@ pub fn prepare(cfg: &DeformedShapesConfig, n: usize, seed: u64) -> PreparedData 
 }
 
 /// Trains `det` on freshly generated data; returns per-epoch mean losses.
-pub fn train_detector(det: &mut YolactLite, store: &mut ParamStore, cfg: &TrainConfig) -> Vec<f32> {
-    train_detector_reg(det, store, cfg, 0.0)
-}
-
-/// [`train_detector`] with an L2 penalty of `offset_reg` on every DCN
-/// layer's predicted offsets — the *regularized training* alternative to
-/// hard bounding (paper Table V).
-pub fn train_detector_reg(
+///
+/// `offset_reg > 0` adds an L2 penalty of that weight on every DCN layer's
+/// predicted offsets — the *regularized training* alternative to hard
+/// bounding (paper Table V).
+pub fn train_detector(
     det: &mut YolactLite,
     store: &mut ParamStore,
     cfg: &TrainConfig,
     offset_reg: f32,
 ) -> Vec<f32> {
-    train_detector_robust(det, store, cfg, offset_reg, &RobustTrainConfig::default())
+    train_detector_robust(det, store, cfg, offset_reg, &RobustConfig::default())
         .expect("detector training could not recover from non-finite steps")
 }
 
-/// Robustness knobs for [`train_detector_robust`].
-#[derive(Clone, Debug)]
-pub struct RobustTrainConfig {
-    /// Where to checkpoint after every epoch (atomic write + CRC). `None`
-    /// disables checkpointing. An existing valid checkpoint at this path
-    /// is resumed (completed epochs are skipped); a corrupt or truncated
-    /// one is discarded and training restarts from scratch — with a fresh
-    /// model this deterministically reproduces the uninterrupted run.
-    pub checkpoint: Option<PathBuf>,
-    /// Extra attempts per mini-batch step after a non-finite loss or
-    /// gradient, before [`DefconError::RetriesExhausted`].
-    pub max_step_retries: usize,
-    /// LR backoff factor applied via [`Sgd::backoff`] on every rollback.
-    pub lr_backoff: f32,
-}
-
-impl Default for RobustTrainConfig {
-    fn default() -> Self {
-        RobustTrainConfig {
-            checkpoint: None,
-            max_step_retries: 3,
-            lr_backoff: 0.5,
-        }
-    }
-}
-
-/// [`train_detector_reg`] with graceful degradation: non-finite loss or
-/// gradient guards with snapshot rollback + LR backoff per mini-batch
-/// step, and atomic per-epoch checkpoint/resume.
+/// [`train_detector`] on the guarded, checkpointed training [`Loop`]
+/// (see [`defcon_nn::train`] for the rollback and resume contract).
 ///
 /// Checkpoints carry the `ParamStore` (values + momentum) and the LR
 /// schedule, which is everything the optimizer needs; BatchNorm running
@@ -138,7 +106,7 @@ pub fn train_detector_robust(
     store: &mut ParamStore,
     cfg: &TrainConfig,
     offset_reg: f32,
-    robust: &RobustTrainConfig,
+    robust: &RobustConfig,
 ) -> Result<Vec<f32>, DefconError> {
     let run_span = obs::span_with("trainer.run", || {
         vec![
@@ -149,152 +117,38 @@ pub fn train_detector_robust(
         ]
     });
     let data = prepare(&cfg.dataset, cfg.train_size, cfg.seed);
-    let steps = cfg.epochs * cfg.train_size.div_ceil(cfg.batch_size);
-    let mut opt = Sgd::paper_schedule(cfg.lr, steps);
+    // A zero batch size leaves no steps, which `Loop::new` rejects.
+    let steps = match cfg.batch_size {
+        0 => 0,
+        b => cfg.train_size.div_ceil(b),
+    };
+    let opt = Sgd::paper_schedule(cfg.lr, cfg.epochs * steps);
+    let mut run = Loop::new(robust, "trainer", "trainer.grad", steps, opt, store)?;
     det.set_training(true);
-    let mut history: Vec<f32> = Vec::with_capacity(cfg.epochs);
-
-    if let Some(path) = &robust.checkpoint {
-        if let Some(payload) = ckpt::load_or_discard(path)? {
-            let pre = store.snapshot();
-            match parse_train_checkpoint(&payload, store) {
-                Ok((hist, opt_steps, opt_lr_scale)) => {
-                    history = hist;
-                    opt.restore_schedule(opt_steps, opt_lr_scale);
+    run.epochs(
+        store,
+        0..cfg.epochs,
+        true,
+        |epoch| obs::span_with("trainer.epoch", || vec![("epoch", Json::from(epoch))]),
+        |tape, store, _, i| {
+            let start = i * cfg.batch_size;
+            let end = (start + cfg.batch_size).min(cfg.train_size);
+            let samples = &data.samples[start..end];
+            let x = tape.input(batch_images(samples));
+            let out = det.forward(tape, store, x);
+            let assignments = &data.assignments[start..end];
+            let mut loss = detection_loss(tape, &out, &data.anchors, assignments, samples);
+            if offset_reg > 0.0 {
+                for off in det.backbone.dcn_offsets() {
+                    let pen = defcon_nn::loss::l2_penalty(tape, off, offset_reg);
+                    loss = defcon_nn::ops::add(tape, loss, pen);
                 }
-                // CRC-valid but stale (e.g. different architecture):
-                // degrade to a fresh start, discarding any partial load.
-                Err(_) => store.restore(&pre),
             }
-        }
-    }
-
-    for epoch in 0..cfg.epochs {
-        if history.len() > epoch {
-            continue; // resumed past this epoch
-        }
-        let epoch_span = obs::span_with("trainer.epoch", || vec![("epoch", Json::from(epoch))]);
-        let mut epoch_loss = 0.0f32;
-        let mut batches = 0usize;
-        for chunk_start in (0..cfg.train_size).step_by(cfg.batch_size) {
-            let end = (chunk_start + cfg.batch_size).min(cfg.train_size);
-            let samples = &data.samples[chunk_start..end];
-            let assignments = &data.assignments[chunk_start..end];
-            let mut step_ok = false;
-            for attempt in 0..=robust.max_step_retries {
-                let snap = store.snapshot();
-                store.zero_grads();
-                let mut tape = Tape::new();
-                let x = tape.input(batch_images(samples));
-                let out = det.forward(&mut tape, store, x);
-                let mut loss = detection_loss(&mut tape, &out, &data.anchors, assignments, samples);
-                if offset_reg > 0.0 {
-                    for off in det.backbone.dcn_offsets() {
-                        let pen = defcon_nn::loss::l2_penalty(&mut tape, off, offset_reg);
-                        loss = defcon_nn::ops::add(&mut tape, loss, pen);
-                    }
-                }
-                let mut loss_val = tape.value(loss).data()[0];
-                fault::nonfinite_f32("trainer.loss", &mut loss_val);
-                if loss_val.is_finite() {
-                    tape.backward(loss);
-                    tape.write_param_grads(store);
-                    if fault::fires("trainer.grad") && !store.is_empty() {
-                        // Inject an exploded gradient for the guard to catch.
-                        let id = store.param_id(0);
-                        let poisoned = store.value(id).scale(f32::NAN);
-                        store.accumulate_grad(id, &poisoned);
-                    }
-                    if store.grads_finite() {
-                        opt.step(store);
-                        epoch_loss += loss_val;
-                        step_ok = true;
-                        break;
-                    }
-                }
-                // Degradation path: roll back parameters and momentum,
-                // gear the LR down, retry the same mini-batch.
-                store.restore(&snap);
-                opt.backoff(robust.lr_backoff);
-                obs::event_with("trainer.rollback", || {
-                    vec![
-                        ("samples_start", Json::from(chunk_start)),
-                        ("attempt", Json::from(attempt)),
-                        ("lr_backoff", Json::from(robust.lr_backoff as f64)),
-                    ]
-                });
-            }
-            if !step_ok {
-                return Err(DefconError::RetriesExhausted {
-                    what: format!(
-                        "training step on samples {chunk_start}..{end} (non-finite loss/gradient)"
-                    ),
-                    attempts: robust.max_step_retries + 1,
-                });
-            }
-            batches += 1;
-        }
-        let mean_loss = epoch_loss / batches.max(1) as f32;
-        epoch_span.record("loss", Json::from(mean_loss as f64));
-        drop(epoch_span);
-        history.push(mean_loss);
-        if let Some(path) = &robust.checkpoint {
-            let doc = Json::obj(vec![
-                ("epochs_done", Json::from(history.len())),
-                (
-                    "loss_history",
-                    Json::Arr(history.iter().map(|&v| Json::from(v as f64)).collect()),
-                ),
-                ("opt_steps", Json::from(opt.steps())),
-                ("opt_lr_scale", Json::from(opt.lr_scale() as f64)),
-                ("params", store.state_to_json()),
-            ]);
-            ckpt::save(path, &doc.to_string())?;
-            obs::event_with("trainer.checkpoint", || {
-                vec![("epochs_done", Json::from(history.len()))]
-            });
-        }
-    }
-    run_span.record("epochs_done", Json::from(history.len()));
-    Ok(history)
-}
-
-/// Parses a CRC-valid trainer checkpoint and loads the parameter state
-/// into `store`; on error the caller restores a pre-parse snapshot.
-fn parse_train_checkpoint(
-    payload: &str,
-    store: &mut ParamStore,
-) -> Result<(Vec<f32>, usize, f32), JsonError> {
-    let doc = Json::parse(payload)?;
-    let epochs_done = doc
-        .field("epochs_done")?
-        .as_usize()
-        .ok_or_else(|| JsonError::msg("epochs_done must be a non-negative integer"))?;
-    let hist = doc
-        .field("loss_history")?
-        .as_arr()
-        .ok_or_else(|| JsonError::msg("loss_history must be an array"))?;
-    let mut history = Vec::with_capacity(hist.len());
-    for v in hist {
-        history.push(
-            v.as_f64()
-                .ok_or_else(|| JsonError::msg("loss_history entries must be numbers"))?
-                as f32,
-        );
-    }
-    if history.len() != epochs_done {
-        return Err(JsonError::msg("epochs_done disagrees with loss_history"));
-    }
-    let opt_steps = doc
-        .field("opt_steps")?
-        .as_usize()
-        .ok_or_else(|| JsonError::msg("opt_steps must be a non-negative integer"))?;
-    let opt_lr_scale =
-        doc.field("opt_lr_scale")?
-            .as_f64()
-            .ok_or_else(|| JsonError::msg("opt_lr_scale must be a number"))? as f32;
-    store.load_state_json(doc.field("params")?)?;
-    Ok((history, opt_steps, opt_lr_scale))
+            (loss, tape.value(loss).data()[0], || ())
+        },
+    )?;
+    run_span.record("epochs_done", Json::from(run.history.len()));
+    Ok(run.history)
 }
 
 /// Runs inference on a validation split and computes box/mask mAP.
@@ -335,7 +189,7 @@ pub fn train_and_eval(
 ) -> (YolactLite, ParamStore, MapResult) {
     let mut store = ParamStore::new();
     let mut det = YolactLite::new(&mut store, backbone);
-    train_detector(&mut det, &mut store, cfg);
+    train_detector(&mut det, &mut store, cfg, 0.0);
     let val = prepare(&cfg.dataset, cfg.val_size, cfg.seed ^ 0xFFFF_0000).samples;
     let map = evaluate_detector(&mut det, &store, &val, 0.05);
     (det, store, map)
@@ -415,6 +269,8 @@ mod tests {
     use defcon_core::search::{IntervalSearch, SearchConfig};
     use defcon_gpusim::{DeviceConfig, Gpu};
     use defcon_kernels::op::{OffsetPredictorKind, SamplingMethod};
+    use defcon_support::fault;
+    use std::path::PathBuf;
 
     fn quick_cfg() -> TrainConfig {
         TrainConfig {
@@ -432,105 +288,92 @@ mod tests {
         p
     }
 
-    #[test]
-    fn injected_nan_loss_rolls_back_and_training_recovers() {
-        use defcon_support::fault::{FaultPlan, Schedule};
+    /// FNV-1a over the loss history's f32 bits, then every parameter
+    /// value's bytes: the byte-identity witness of one training run.
+    fn run_digest(history: &[f32], store: &ParamStore) -> u64 {
+        let mut bytes = Vec::new();
+        for v in history {
+            bytes.extend(v.to_bits().to_le_bytes());
+        }
+        for i in 0..store.len() {
+            for v in store.value(store.param_id(i)).data() {
+                bytes.extend(v.to_bits().to_le_bytes());
+            }
+        }
+        defcon_core::serve::fnv1a64(&bytes)
+    }
+
+    /// A fresh detector with five regular slots, and its parameter store.
+    fn regular_detector() -> (ParamStore, YolactLite) {
         let backbone =
             BackboneConfig::mini(48, BackboneConfig::uniform_slots(5, SlotKind::Regular));
         let mut store = ParamStore::new();
-        let mut det = YolactLite::new(&mut store, backbone);
+        let det = YolactLite::new(&mut store, backbone);
+        (store, det)
+    }
+
+    /// [`train_detector_robust`] on `quick_cfg` from a fresh
+    /// [`regular_detector`]; returns the outcome and the trained store.
+    fn quick_run(robust: &RobustConfig) -> (Result<Vec<f32>, DefconError>, ParamStore) {
+        let (mut store, mut det) = regular_detector();
+        let out = train_detector_robust(&mut det, &mut store, &quick_cfg(), 0.0, robust);
+        (out, store)
+    }
+
+    #[test]
+    fn injected_nan_loss_rolls_back_and_training_recovers() {
+        use defcon_support::fault::{FaultPlan, Schedule};
         let _armed = fault::arm(FaultPlan::new(41).point("trainer.loss", Schedule::Nth(1)));
-        let history = train_detector_robust(
-            &mut det,
-            &mut store,
-            &quick_cfg(),
-            0.0,
-            &RobustTrainConfig::default(),
-        )
-        .unwrap();
+        let (history, store) = quick_run(&RobustConfig::default());
+        let history = history.unwrap();
         assert_eq!(fault::log(), vec!["trainer.loss#1"]);
         assert_eq!(history.len(), 2);
         assert!(history.iter().all(|l| l.is_finite()), "{history:?}");
         assert!(store.values_finite());
+        assert_eq!(run_digest(&history, &store), 0x216a_81d4_5f52_3d1f);
     }
 
     #[test]
     fn injected_nan_grad_rolls_back_and_training_recovers() {
         use defcon_support::fault::{FaultPlan, Schedule};
-        let backbone =
-            BackboneConfig::mini(48, BackboneConfig::uniform_slots(5, SlotKind::Regular));
-        let mut store = ParamStore::new();
-        let mut det = YolactLite::new(&mut store, backbone);
         let _armed = fault::arm(FaultPlan::new(42).point("trainer.grad", Schedule::Nth(0)));
-        let history = train_detector_robust(
-            &mut det,
-            &mut store,
-            &quick_cfg(),
-            0.0,
-            &RobustTrainConfig::default(),
-        )
-        .unwrap();
+        let (history, store) = quick_run(&RobustConfig::default());
+        let history = history.unwrap();
         assert_eq!(fault::log(), vec!["trainer.grad#0"]);
         assert!(history.iter().all(|l| l.is_finite()));
         assert!(store.values_finite() && store.grads_finite());
+        assert_eq!(run_digest(&history, &store), 0x5613_7b3b_bdd1_bc98);
     }
 
     #[test]
     fn persistent_nan_loss_exhausts_retries() {
         use defcon_support::fault::{FaultPlan, Schedule};
-        let backbone =
-            BackboneConfig::mini(48, BackboneConfig::uniform_slots(5, SlotKind::Regular));
-        let mut store = ParamStore::new();
-        let mut det = YolactLite::new(&mut store, backbone);
         let _armed = fault::arm(FaultPlan::new(43).point("trainer.loss", Schedule::Always));
-        let err = train_detector_robust(
-            &mut det,
-            &mut store,
-            &quick_cfg(),
-            0.0,
-            &RobustTrainConfig::default(),
-        )
-        .unwrap_err();
+        let (err, _) = quick_run(&RobustConfig::default());
         assert!(matches!(
             err,
-            DefconError::RetriesExhausted { attempts: 4, .. }
+            Err(DefconError::RetriesExhausted { attempts: 4, .. })
         ));
     }
 
     #[test]
     fn truncated_checkpoint_restarts_and_reproduces_the_uninterrupted_run() {
         let _quiet = fault::quiesce();
-        let mk = || {
-            let backbone =
-                BackboneConfig::mini(48, BackboneConfig::uniform_slots(5, SlotKind::Regular));
-            let mut store = ParamStore::new();
-            let det = YolactLite::new(&mut store, backbone);
-            (store, det)
-        };
-        let cfg = quick_cfg();
         // Uninterrupted reference run, no checkpointing.
-        let (mut store_a, mut det_a) = mk();
-        let reference = train_detector_robust(
-            &mut det_a,
-            &mut store_a,
-            &cfg,
-            0.0,
-            &RobustTrainConfig::default(),
-        )
-        .unwrap();
+        let (reference, store) = quick_run(&RobustConfig::default());
+        let reference = reference.unwrap();
+        assert_eq!(run_digest(&reference, &store), 0x554d_0cad_82da_6897);
         // A truncated checkpoint (CRC mismatch) must be discarded; the
         // restart from a fresh seeded model reproduces the reference
         // run's metrics exactly.
         let path = tmp_path("truncated");
         std::fs::write(&path, "0c0ffee0\n{\"epochs_done\":").unwrap();
-        let robust = RobustTrainConfig {
+        let robust = RobustConfig {
             checkpoint: Some(path.clone()),
             ..Default::default()
         };
-        let (mut store_b, mut det_b) = mk();
-        let recovered =
-            train_detector_robust(&mut det_b, &mut store_b, &cfg, 0.0, &robust).unwrap();
-        assert_eq!(reference, recovered, "restart must be bit-reproducible");
+        let (recovered, _) = quick_run(&robust);
+        assert_eq!(Ok(reference), recovered, "restart must be bit-reproducible");
         let _ = std::fs::remove_file(&path);
     }
 
@@ -539,22 +382,15 @@ mod tests {
         let _quiet = fault::quiesce();
         let path = tmp_path("complete");
         let _ = std::fs::remove_file(&path);
-        let robust = RobustTrainConfig {
+        let robust = RobustConfig {
             checkpoint: Some(path.clone()),
             ..Default::default()
         };
-        let cfg = quick_cfg();
-        let backbone =
-            BackboneConfig::mini(48, BackboneConfig::uniform_slots(5, SlotKind::Regular));
-        let mut store = ParamStore::new();
-        let mut det = YolactLite::new(&mut store, backbone.clone());
-        let first = train_detector_robust(&mut det, &mut store, &cfg, 0.0, &robust).unwrap();
+        let (first, store) = quick_run(&robust);
         // Fresh model + completed checkpoint: every epoch is skipped and
         // the stored history and parameters are returned as-is.
-        let mut store2 = ParamStore::new();
-        let mut det2 = YolactLite::new(&mut store2, backbone);
-        let resumed = train_detector_robust(&mut det2, &mut store2, &cfg, 0.0, &robust).unwrap();
-        assert_eq!(first, resumed);
+        let (resumed, store2) = quick_run(&robust);
+        assert_eq!(first.unwrap(), resumed.unwrap());
         for i in 0..store.len() {
             assert_eq!(
                 store.value(store.param_id(i)).data(),
@@ -568,12 +404,9 @@ mod tests {
     #[test]
     fn training_reduces_loss_and_eval_runs() {
         let _quiet = fault::quiesce();
-        let backbone =
-            BackboneConfig::mini(48, BackboneConfig::uniform_slots(5, SlotKind::Regular));
         let cfg = quick_cfg();
-        let mut store = ParamStore::new();
-        let mut det = YolactLite::new(&mut store, backbone);
-        let history = train_detector(&mut det, &mut store, &cfg);
+        let (mut store, mut det) = regular_detector();
+        let history = train_detector(&mut det, &mut store, &cfg, 0.0);
         assert_eq!(history.len(), 2);
         assert!(history[1] < history[0], "loss {history:?}");
         let val = prepare(&cfg.dataset, cfg.val_size, 99).samples;

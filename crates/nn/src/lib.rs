@@ -11,7 +11,9 @@
 //!   paper §III-A-b),
 //! * the dual-path Gumbel-Softmax layer used by the interval search
 //!   (paper Eq. 5, Fig. 4c),
-//! * SGD with momentum and step-decay learning rates (paper §IV-A).
+//! * SGD with momentum and step-decay learning rates (paper §IV-A),
+//! * the guarded, checkpointed epoch loop every trainer runs
+//!   ([`train::Loop`]).
 //!
 //! ## Design
 //!
@@ -29,6 +31,7 @@ pub mod loss;
 pub mod modules;
 pub mod ops;
 pub mod optim;
+pub mod train;
 
 pub use graph::{ParamId, ParamStore, Tape, Var};
 pub use modules::Module;

@@ -37,7 +37,7 @@ fn main() {
         store.num_scalars()
     );
 
-    let history = train_detector(&mut det, &mut store, &cfg);
+    let history = train_detector(&mut det, &mut store, &cfg, 0.0);
     println!("per-epoch loss: {history:?}");
 
     let val = prepare(&cfg.dataset, cfg.val_size, 0xFACE).samples;

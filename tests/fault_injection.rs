@@ -7,15 +7,14 @@
 //! tests against each other without any ordering assumptions.
 
 use defcon::core::lut::{LatencyKey, LatencyLut};
-use defcon::core::search::{
-    IntervalSearch, RobustSearchConfig, SearchConfig, SearchModel, SearchOutcome,
-};
+use defcon::core::search::{IntervalSearch, SearchConfig, SearchModel, SearchOutcome};
 use defcon::gpusim::{BlockTrace, DeviceConfig, Gpu, TraceSink};
 use defcon::kernels::op::{synthetic_inputs, DeformConvOp, OffsetPredictorKind, SamplingMethod};
 use defcon::kernels::DeformLayerShape;
 use defcon::nn::graph::{ParamId, ParamStore, Tape, Var};
 use defcon::nn::loss;
 use defcon::nn::modules::LayerChoice;
+use defcon::nn::train::RobustConfig;
 use defcon::tensor::Tensor;
 use defcon_support::ckpt;
 use defcon_support::error::DefconError;
@@ -350,7 +349,7 @@ fn pure_cfg(finetune_epochs: usize) -> SearchConfig {
 
 /// Runs `PureNet` through the search; returns the outcome and the exact
 /// serialized parameter state (the "byte-identical" witness).
-fn run_pure(cfg: SearchConfig, robust: &RobustSearchConfig) -> (SearchOutcome, String) {
+fn run_pure(cfg: SearchConfig, robust: &RobustConfig) -> (SearchOutcome, String) {
     let mut store = ParamStore::new();
     let mut net = PureNet::new(&mut store);
     let out = IntervalSearch::new(cfg, tiny_lut())
@@ -374,12 +373,12 @@ fn search_resume_after_mid_run_interrupt_is_byte_identical() {
     let path = tmp_path("search-midrun");
     let _ = std::fs::remove_file(&path);
     // Reference: the uninterrupted run, no checkpointing.
-    let reference = run_pure(pure_cfg(2), &RobustSearchConfig::default());
+    let reference = run_pure(pure_cfg(2), &RobustConfig::default());
     // "Interrupted" run: the process dies right after the search phase —
     // simulated by running only the search epochs against the checkpoint
     // path (the post-epoch checkpoint on disk is byte-identical to the one
     // the uninterrupted run writes at the same point).
-    let with_ckpt = RobustSearchConfig {
+    let with_ckpt = RobustConfig {
         checkpoint: Some(path.clone()),
         ..Default::default()
     };
@@ -398,8 +397,8 @@ fn truncated_search_checkpoint_restarts_and_reproduces_the_run() {
     let path = tmp_path("search-trunc");
     // A torn write: CRC header present, payload cut off mid-token.
     std::fs::write(&path, "0c0ffee0\n{\"epochs_done\":").unwrap();
-    let reference = run_pure(pure_cfg(2), &RobustSearchConfig::default());
-    let with_ckpt = RobustSearchConfig {
+    let reference = run_pure(pure_cfg(2), &RobustConfig::default());
+    let with_ckpt = RobustConfig {
         checkpoint: Some(path.clone()),
         ..Default::default()
     };
@@ -408,6 +407,62 @@ fn truncated_search_checkpoint_restarts_and_reproduces_the_run() {
     // The run replaced the truncated file with a valid checkpoint.
     assert!(ckpt::load(&path).unwrap().is_some());
     std::fs::remove_file(&path).unwrap();
+}
+
+/// Invalid knobs of the shared training loop are a typed constraint at
+/// its entry, before any step runs: a zero or NaN LR backoff (which would
+/// trip `Sgd::backoff`'s assert on the first rollback), zero search
+/// iterations per epoch (which would average an empty epoch into NaN) and
+/// a zero trainer batch size (which would divide by zero).
+#[test]
+fn invalid_training_knobs_are_a_typed_constraint_before_any_step() {
+    use defcon::models::backbone::{BackboneConfig, SlotKind};
+    use defcon::models::trainer::{train_detector_robust, TrainConfig};
+    use defcon::models::YolactLite;
+    let assert_rejected = |err: Option<DefconError>| {
+        assert!(
+            matches!(err, Some(DefconError::Constraint { ref what, .. }) if what == "train-config"),
+            "{err:?}"
+        );
+    };
+    let search = |cfg: SearchConfig, robust: &RobustConfig| {
+        let mut store = ParamStore::new();
+        let mut net = PureNet::new(&mut store);
+        IntervalSearch::new(cfg, tiny_lut())
+            .run_robust(&mut net, &mut store, robust)
+            .err()
+    };
+    for lr_backoff in [0.0, f32::NAN] {
+        // The second step's loss is poisoned, so a run that got that far
+        // would roll back with this factor.
+        let _armed = fault::arm(FaultPlan::new(86).point("search.loss", Schedule::Nth(1)));
+        let robust = RobustConfig {
+            lr_backoff,
+            ..Default::default()
+        };
+        assert_rejected(search(pure_cfg(2), &robust));
+        assert!(
+            fault::log().is_empty(),
+            "no step may run: {:?}",
+            fault::log()
+        );
+    }
+    let _quiet = fault::quiesce();
+    let no_iters = SearchConfig {
+        iters_per_epoch: 0,
+        ..pure_cfg(2)
+    };
+    assert_rejected(search(no_iters, &RobustConfig::default()));
+    let backbone = BackboneConfig::mini(48, BackboneConfig::uniform_slots(5, SlotKind::Regular));
+    let mut store = ParamStore::new();
+    let mut det = YolactLite::new(&mut store, backbone);
+    let no_batch = TrainConfig {
+        batch_size: 0,
+        train_size: 4,
+        ..Default::default()
+    };
+    let robust = RobustConfig::default();
+    assert_rejected(train_detector_robust(&mut det, &mut store, &no_batch, 0.0, &robust).err());
 }
 
 // --- core::serve: admission shedding and cache corruption ---------------
@@ -634,7 +689,7 @@ fn breaker_trip_fault_reroutes_only_texture_rungs() {
 fn ckpt_write_fault_degrades_the_next_resume_to_a_fresh_start() {
     let path = tmp_path("search-torn-write");
     let _ = std::fs::remove_file(&path);
-    let with_ckpt = RobustSearchConfig {
+    let with_ckpt = RobustConfig {
         checkpoint: Some(path.clone()),
         ..Default::default()
     };
